@@ -88,6 +88,10 @@ class RunConfig:
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if not self.delta_d > self.delta_v > 0:
             raise ConfigError(f"need delta_d > delta_v > 0, got {self.delta_v}, {self.delta_d}")
+        try:
+            self.mean_shift_config()
+        except ValueError as e:
+            raise ConfigError(f"clustering (bandwidth, ms_max_iter, ms_tol): {e}") from e
 
     def layer_spec(self) -> LayerSpec:
         return LayerSpec(npoints=self.npoints, widths=self.widths, radii=self.radii,

@@ -116,3 +116,42 @@ def random_region_sets(rng: np.random.Generator, max_points: int = 30, max_regio
         return regions
 
     return n, one(), one()
+
+
+# ---------------------------------------------------------------------------
+# dense mean-shift reference
+
+def mean_shift_dense(points: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Flat-kernel mean-shift over the full (n, n, K) difference tensor: every
+    seed stepped separately, every copy of a mode kept until the merge."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError(f"points must be (N, K) with N >= 1, got {pts.shape}")
+    n = pts.shape[0]
+    bw2 = cfg.bandwidth ** 2
+
+    modes = pts.copy()  # one seed per point
+    active = np.ones(n, dtype=bool)
+    for _ in range(cfg.max_iter):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        cur = modes[idx]
+        d2 = ((cur[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        within = d2 <= bw2
+        new = (within @ pts) / within.sum(axis=1, keepdims=True)
+        shift = np.linalg.norm(new - cur, axis=1)
+        modes[idx] = new
+        active[idx[shift < cfg.tol]] = False
+
+    support = (((modes[:, None, :] - pts[None, :, :]) ** 2).sum(-1) <= bw2).sum(axis=1)
+    order = np.lexsort((np.arange(n), -support))  # support desc, seed index asc
+    merge_r = cfg.effective_merge_radius
+    kept: list[int] = []
+    for i in order:
+        if all(np.linalg.norm(modes[i] - modes[j]) > merge_r for j in kept):
+            kept.append(int(i))
+    centers = modes[kept]
+    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+    labels = d2.argmin(axis=1)  # first minimum = lowest cluster id on ties
+    return labels.astype(np.int64), centers

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from jointseg import inference
 from jointseg.backbone import LayerSpec
 from jointseg.data import Scene, split_into_blocks
 from jointseg.inference import (BlockPrediction, MeanShiftConfig, block_merging, mean_shift,
                                 predict_block, segment_scene)
 from jointseg.network import SegmentationNetwork
+
+from oracles import mean_shift_dense
 
 CFG = MeanShiftConfig(bandwidth=0.6)
 
@@ -85,6 +90,123 @@ def test_bandwidth_must_be_positive():
         MeanShiftConfig(bandwidth=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(bandwidth=-1.0), dict(bandwidth=float("nan")), dict(bandwidth=float("inf")),
+    dict(max_iter=0), dict(tol=0.0), dict(tol=-1e-4), dict(tol=float("nan")),
+    dict(tol=float("inf")), dict(merge_radius=0.0), dict(merge_radius=-0.3),
+])
+def test_config_rejects_bad_settings(kwargs):
+    with pytest.raises(ValueError):
+        MeanShiftConfig(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    pts = np.zeros((6, 3))
+    pts[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mean_shift(pts, CFG)
+
+
+# ---------------------------------------------------------------------------
+# mean shift against the dense (n, n, K) reference
+
+def criterion4_blobs(seed):
+    """The planted-blob fixture of acceptance criterion 4."""
+    rng = np.random.default_rng(seed)
+    while True:  # rejection-sample 5 centers with pairwise distance >= 2
+        centers = rng.uniform(0, 5, (5, 5))
+        d = np.linalg.norm(centers[:, None] - centers[None], axis=2)
+        if d[np.triu_indices(5, 1)].min() >= 2.0:
+            break
+    return np.concatenate([c + rng.normal(0, 0.05, (40, 5)) for c in centers])
+
+
+def integer_lattice(side=6, dim=3):
+    axes = np.meshgrid(*[np.arange(float(side))] * dim, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, dim)
+
+
+def assert_matches_dense(pts, cfg=CFG):
+    labels, centers = mean_shift(pts, cfg)
+    ref_labels, ref_centers = mean_shift_dense(pts, cfg)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(centers, ref_centers)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matches_dense_on_planted_blobs(seed):
+    assert_matches_dense(criterion4_blobs(seed))
+
+
+def test_matches_dense_on_rows_sampled_with_replacement():
+    rng = np.random.default_rng(9)
+    pts = criterion4_blobs(3)
+    sampled = pts[rng.integers(0, len(pts), 3 * inference._CHUNK)]
+    assert np.unique(sampled, axis=0).shape[0] < len(sampled)
+    assert_matches_dense(sampled)
+
+
+def test_matches_dense_far_from_origin():
+    # the expanded distance cancels ~‖p‖² ≈ 660 down to d² ≈ bw² here
+    assert_matches_dense(criterion4_blobs(5) + 11.5)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.1])
+def test_matches_dense_on_lattice_with_pairs_on_the_threshold(offset):
+    # neighbours sit at d² == bw²; off the dyadic grid the two distance forms
+    # round them to opposite sides, and the recheck must side with the direct one
+    assert_matches_dense(integer_lattice() + offset, MeanShiftConfig(bandwidth=1.0))
+
+
+@pytest.mark.parametrize("scale,offset,bandwidth", [
+    (1.0, 0.0, 1.0), (1.0, 0.1, 1.0), (0.1, 0.0, 0.1), (0.7, 1.1, 0.7), (1.0, 0.1, np.sqrt(2.0)),
+])
+def test_window_is_exact_on_lattice_threshold_pairs(scale, offset, bandwidth):
+    pts = integer_lattice() * scale + offset
+    bw2 = bandwidth ** 2
+    direct = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1) <= bw2
+    assert np.array_equal(inference._Window(pts, bw2)(pts), direct)
+
+
+@pytest.mark.parametrize("n", [1, inference._CHUNK // 2, 2 * inference._CHUNK + 3])
+def test_matches_dense_across_chunk_boundaries(n):
+    rng = np.random.default_rng(n)
+    assert_matches_dense(rng.standard_normal((n, 5)))
+
+
+def test_float32_embeddings_match_dense_at_block_scale():
+    # Network embeddings are float32 values of similar magnitude, whose window
+    # sums are exact in float64: the chunked mean equals the full-size product
+    # bit for bit whichever BLAS kernel either shape selects.
+    pts = np.random.default_rng(10).standard_normal((1024, 5)).astype(np.float32)
+    assert_matches_dense(pts)
+
+
+def test_float64_points_match_dense_to_rounding():
+    # General float64 sums round differently when BLAS picks a different GEMM
+    # kernel for a chunk than for the full (active seeds, n) product (it does
+    # here), so modes may differ in their last bits; the partition and the
+    # number of modes stay the same.
+    pts = np.random.default_rng(11).standard_normal((1024, 5))
+    labels, centers = mean_shift(pts, CFG)
+    ref_labels, ref_centers = mean_shift_dense(pts, CFG)
+    assert np.array_equal(labels, ref_labels)
+    assert centers.shape == ref_centers.shape
+    assert np.allclose(centers, ref_centers, rtol=0, atol=1e-12)
+
+
+def test_peak_memory_at_paper_block_size():
+    pts = np.random.default_rng(12).standard_normal((4096, 5))
+    tracemalloc.start()
+    try:
+        mean_shift(pts, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # block prediction
 
@@ -109,6 +231,16 @@ def test_predict_block_three_planted_clusters():
     for k in range(3):
         members = truth[pred.instance == k]
         assert pred.instance_categories[k] == members[0]
+
+
+def test_predict_block_vote_matches_per_instance_counts():
+    rng = np.random.default_rng(13)
+    emb, _ = planted_blobs(rng, [np.zeros(2), np.array([4.0, 0]), np.array([0, 4.0])], n_per=15)
+    logits = rng.standard_normal((45, 4))
+    pred = predict_block(logits, emb, np.arange(45), CFG, num_classes=6)
+    for k in range(pred.num_instances):
+        votes = np.bincount(pred.semantic[pred.instance == k], minlength=6)
+        assert pred.instance_categories[k] == votes.argmax()
 
 
 def test_predict_block_tie_vote_takes_lower_class():

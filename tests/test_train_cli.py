@@ -235,6 +235,20 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("line", [
+    "bandwidth = -1", "bandwidth = 0", "bandwidth = nan", "bandwidth = inf",
+    "ms_max_iter = 0", "ms_tol = 0", "ms_tol = -1e-4", "ms_tol = nan", "ms_tol = inf",
+])
+def test_cli_rejects_bad_clustering_settings_before_loading(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    # the checkpoint and scene do not exist: the config must fail first
+    code = cli.main(["infer", "--config", str(bad), "--checkpoint", str(tmp_path / "none.ckpt"),
+                     "--scene", str(tmp_path / "none.scene"), "--out", str(tmp_path / "pred")])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_data_error_exit_code(tmp_path):
     cfg_path = write_config(tmp_path / "c.cfg", tiny_config())
     code = cli.main(["eval", "--result", str(tmp_path / "missing.result"),
