@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .backbone import LayerSpec
@@ -78,8 +79,8 @@ class RunConfig:
     random_sample: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.iterations < 1:
@@ -88,6 +89,10 @@ class RunConfig:
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if not self.delta_d > self.delta_v > 0:
             raise ConfigError(f"need delta_d > delta_v > 0, got {self.delta_v}, {self.delta_d}")
+        if self.voxel_divisions < 1:
+            raise ConfigError(f"voxel_divisions must be >= 1, got {self.voxel_divisions}")
+        if not 0 < self.overlap_threshold <= 1:
+            raise ConfigError(f"overlap_threshold must be in (0, 1], got {self.overlap_threshold}")
         try:
             self.mean_shift_config()
         except ValueError as e:

@@ -7,9 +7,13 @@ It runs in chunks of ``_CHUNK`` rows, so its memory is O(``_CHUNK`` · n · K)
 instead of O(n² · K): the window test takes one GEMM per chunk and
 recomputes directly only the pairs whose expanded distance lies too close to
 the bandwidth to trust, and seeds that share a position are stepped once.
-Block merging maintains a voxel grid over the scene: each block-local
+Block merging maintains a voxel grid over the scene as arrays over its
+occupied voxels (one ``np.unique`` of the voxel keys): each block-local
 instance adopts the global id already covering enough of its voxels, or mints
-a new one, and every scene point finally takes the id of its voxel.
+a new one, and every scene point finally takes the id of its voxel. Points in
+unlabeled voxels take the nearest labeled voxel, found for all of them by one
+chunked query of the same GEMM-plus-recheck kind, ``_NEAREST_ROWS`` points at
+a time; exact distance ties go to the lowest voxel key.
 """
 
 from __future__ import annotations
@@ -27,9 +31,15 @@ from .data import Scene, split_into_blocks
 # embeddings and 14 MB on Gaussian noise, whose 2315 modes widen the final
 # nearest-mode step.
 _CHUNK = 128
-# Half-width of the band around bw² in which the expanded distance is not
-# trusted, relative to ‖c‖² + max ‖p‖² + bw² after centring. The rounding error
-# of either distance form is a few K·2⁻⁵³ of that scale, far inside the band.
+# Uncovered points per chunk of the nearest-voxel query. A chunk's temporaries
+# are a few (_NEAREST_ROWS, L) arrays over the L labeled voxels, 1.4 MB each
+# for the ~10.6k labeled voxels of a 3 m room of 29k points.
+_NEAREST_ROWS = 16
+# Half-width of the band in which the expanded distance is not trusted: around
+# bw² in the window test, relative to ‖c‖² + max ‖p‖² + bw² after centring, and
+# around a point's minimum in the nearest-voxel query, relative to
+# ‖p‖² + max ‖c‖². The rounding error of either distance form is a few K·2⁻⁵³
+# of that scale, far inside the band.
 _RECHECK_BAND = 1e-9
 
 
@@ -193,6 +203,41 @@ class SceneSegmentation:
     uncovered_points: int  # points resolved via the nearest labeled voxel
 
 
+def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centre by the direct distance
+    ``((centres - p) ** 2).sum(1)``; exact ties go to the lowest index.
+
+    d² − ‖p‖² is expanded as ‖c‖² − 2·p·cᵀ on mean-centred coordinates, so a
+    chunk of ``_NEAREST_ROWS`` points costs one GEMM. Rows with a second
+    centre within the recheck band of their minimum compare their candidates
+    by the direct expression instead.
+    """
+    mean = centres.mean(axis=0)
+    c = centres - mean
+    c_sq = (c ** 2).sum(axis=1)
+    c_sq_max = c_sq.max()
+    rhs = np.vstack([-2.0 * c.T, c_sq])  # (K + 1, L): [p, 1] @ rhs = ‖c‖² − 2·p·cᵀ
+    out = np.empty(len(points), dtype=np.int64)
+    for s in range(0, len(points), _NEAREST_ROWS):
+        p = points[s:s + _NEAREST_ROWS]
+        pc = p - mean
+        g = np.hstack([pc, np.ones((len(p), 1))]) @ rhs  # d² − ‖p‖², up to rounding
+        best = g.argmin(axis=1)
+        rows = np.arange(len(p))
+        bound = g[rows, best] + _RECHECK_BAND * ((pc ** 2).sum(axis=1) + c_sq_max)
+        g[rows, best] = np.inf  # the row minimum is now the runner-up
+        tied = g.min(axis=1) <= bound
+        if tied.any():
+            candidates = g[tied] <= bound[tied, None]
+            candidates[np.arange(len(candidates)), best[tied]] = True
+            r, q = np.nonzero(candidates)
+            d2 = np.full(candidates.shape, np.inf)
+            d2[r, q] = ((centres[q] - p[tied][r]) ** 2).sum(axis=1)
+            best[tied] = d2.argmin(axis=1)  # first minimum = lowest index
+        out[s:s + _NEAREST_ROWS] = best
+    return out
+
+
 def block_merging(predictions: list[BlockPrediction], scene: Scene, num_classes: int,
                   voxel_divisions: int = 400, overlap_threshold: float = 0.3) -> SceneSegmentation:
     """Merge per-block instance ids into scene-level ids over a voxel grid.
@@ -204,86 +249,80 @@ def block_merging(predictions: list[BlockPrediction], scene: Scene, num_classes:
     keeps an instance whole when a thin sliver of it was processed first and
     a much larger portion arrives later. Voxels keep their first assignment,
     and per-point semantics are resolved by majority vote across overlapping
-    blocks.
+    blocks; a point no block sampled takes its voxel's vote over instance
+    categories.
+
+    The scene's V occupied voxels are indexed once, in lexicographic key
+    order, so the grid is three arrays: the global id of each voxel (−1 while
+    unlabeled), its (V, C) category votes and the voxel count of each id.
+    A point whose voxel no instance labeled takes the id and vote of the
+    labeled voxel with the nearest centre; on an exact distance tie, the
+    lowest voxel key wins. That query runs ``_NEAREST_ROWS`` points at a
+    time, so its temporaries are O(``_NEAREST_ROWS`` · V) floats.
+    Instance ids are finally renumbered densely in order of first appearance.
     """
+    if voxel_divisions < 1:
+        raise ValueError(f"voxel_divisions must be >= 1, got {voxel_divisions}")
     if not 0 < overlap_threshold <= 1:
         raise ValueError(f"overlap_threshold must be in (0, 1], got {overlap_threshold}")
     n = scene.num_points
     voxel_size = scene.room_extent / voxel_divisions
-    keys_per_point = np.floor(scene.points / voxel_size).astype(np.int64)
+    keys, point_voxel = np.unique(np.floor(scene.points / voxel_size).astype(np.int64),
+                                  axis=0, return_inverse=True)
+    point_voxel = point_voxel.reshape(-1)  # numpy 2.0.0 returns it 2-D
 
-    voxel_gid: dict[tuple[int, int, int], int] = {}
-    voxel_votes: dict[tuple[int, int, int], np.ndarray] = {}
-    gid_voxel_count: dict[int, int] = {}
-    point_votes = np.zeros((n, num_classes), dtype=np.int64)
-    next_gid = 0
-
+    empty = [np.empty(0, dtype=np.int64)]
+    sampled = np.concatenate([p.point_indices for p in predictions] or empty)
+    classes = np.concatenate([p.semantic for p in predictions] or empty)
+    if classes.size and not 0 <= classes.min() <= classes.max() < num_classes:
+        raise ValueError(f"semantic ids must be in [0, {num_classes}), "
+                         f"got {classes.min()}..{classes.max()}")
+    voxel_gid = np.full(len(keys), -1, dtype=np.int64)
+    voxel_votes = np.zeros((len(keys), num_classes), dtype=np.int64)
+    gid_voxel_count: list[int] = []
     for pred in predictions:
-        for pt, cls in zip(pred.point_indices, pred.semantic):
-            point_votes[pt, cls] += 1
         for local in range(pred.num_instances):
             members = pred.point_indices[pred.instance == local]
             if members.size == 0:
                 continue
-            vkeys = {tuple(k) for k in keys_per_point[members]}
-            overlaps: dict[int, int] = {}
-            for k in vkeys:
-                gid = voxel_gid.get(k)
-                if gid is not None:
-                    overlaps[gid] = overlaps.get(gid, 0) + 1
-            merged = False
-            if overlaps:
-                best = min(overlaps, key=lambda g: (-overlaps[g], g))
-                denom = min(len(vkeys), gid_voxel_count[best])
-                merged = overlaps[best] / denom >= overlap_threshold
-            gid = best if merged else next_gid
-            if not merged:
-                next_gid += 1
-                gid_voxel_count[gid] = 0
-            cls = int(pred.instance_categories[local])
-            for k in vkeys:
-                if k not in voxel_gid:
-                    voxel_gid[k] = gid
-                    gid_voxel_count[gid] += 1
-                votes = voxel_votes.get(k)
-                if votes is None:
-                    votes = np.zeros(num_classes, dtype=np.int64)
-                    voxel_votes[k] = votes
-                votes[cls] += 1
+            vox = np.unique(point_voxel[members])
+            labeled = voxel_gid[vox]
+            fresh = vox[labeled < 0]
+            labeled = labeled[labeled >= 0]
+            gid = -1
+            if labeled.size:
+                overlaps = np.bincount(labeled)
+                best = int(overlaps.argmax())  # first maximum = lowest id on ties
+                if overlaps[best] / min(vox.size, gid_voxel_count[best]) >= overlap_threshold:
+                    gid = best
+            if gid < 0:  # mint a new id
+                gid = len(gid_voxel_count)
+                gid_voxel_count.append(0)
+            voxel_gid[fresh] = gid
+            gid_voxel_count[gid] += fresh.size
+            voxel_votes[vox, pred.instance_categories[local]] += 1
 
-    labeled_keys = list(voxel_gid.keys())
-    labeled_centers = (np.array(labeled_keys, dtype=np.float64) + 0.5) * voxel_size if labeled_keys else None
+    covered = voxel_gid[point_voxel] >= 0
+    labeled_voxels = np.flatnonzero(voxel_gid >= 0)
+    if labeled_voxels.size == 0:
+        instance = np.zeros(n, dtype=np.int64)
+        semantic = np.zeros(n, dtype=np.int64)
+    else:
+        source = point_voxel.copy()  # the voxel each point takes its id and vote from
+        centres = (keys[labeled_voxels] + 0.5) * voxel_size
+        source[~covered] = labeled_voxels[_nearest(scene.points[~covered], centres)]
+        instance = voxel_gid[source]
+        point_votes = np.bincount(sampled * num_classes + classes, minlength=n * num_classes)
+        point_votes = point_votes.reshape(n, num_classes)
+        semantic = np.where(point_votes.any(axis=1), point_votes.argmax(axis=1),
+                            voxel_votes[source].argmax(axis=1))
 
-    instance = np.empty(n, dtype=np.int64)
-    semantic = np.empty(n, dtype=np.int64)
-    uncovered = 0
-    for i in range(n):
-        key = tuple(keys_per_point[i])
-        gid = voxel_gid.get(key)
-        if gid is None:
-            uncovered += 1
-            if labeled_centers is None:
-                instance[i] = 0
-                semantic[i] = 0
-                continue
-            nearest = int(np.argmin(((labeled_centers - scene.points[i]) ** 2).sum(axis=1)))
-            key = labeled_keys[nearest]
-            gid = voxel_gid[key]
-        instance[i] = gid
-        if point_votes[i].sum() > 0:
-            semantic[i] = int(point_votes[i].argmax())
-        else:
-            semantic[i] = int(voxel_votes[key].argmax())
-
-    # relabel instances densely in order of first appearance
-    remap: dict[int, int] = {}
-    for i in range(n):
-        g = int(instance[i])
-        if g not in remap:
-            remap[g] = len(remap)
-        instance[i] = remap[g]
-    return SceneSegmentation(semantic=semantic, instance=instance,
-                             num_instances=len(remap), uncovered_points=uncovered)
+    _, first, dense = np.unique(instance, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return SceneSegmentation(semantic=semantic, instance=rank[dense.reshape(-1)],
+                             num_instances=len(first),
+                             uncovered_points=int(n - np.count_nonzero(covered)))
 
 
 def segment_scene(network, scene: Scene, *, block_size: float = 1.0, stride: float = 0.5,

@@ -174,12 +174,18 @@ def train(cfg: RunConfig, out_dir) -> TrainResult:
 
 
 def load_network(cfg: RunConfig, checkpoint_path) -> SegmentationNetwork:
-    """Rebuild the model described by ``cfg`` and load checkpoint parameters."""
+    """Rebuild the model described by ``cfg`` and load checkpoint parameters.
+
+    A checkpoint whose parameters hold NaN or inf, as a diverged training run
+    writes, is refused with the name of the first such parameter."""
     ckpt = load_checkpoint(checkpoint_path)
     if ckpt.model_digest != cfg.model_digest():
         raise CheckpointError(
             "checkpoint was trained with a different model configuration "
             f"(digest {ckpt.model_digest[:12]} vs {cfg.model_digest()[:12]})")
+    for name, values in ckpt.parameters.items():
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"parameter {name!r} has non-finite values")
     network = build_network(cfg)
     try:
         network.assign_parameters(ckpt.parameters)

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from jointseg.data import Scene
+from jointseg.inference import BlockPrediction, SceneSegmentation
+
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function over every entry of x."""
@@ -155,3 +158,100 @@ def mean_shift_dense(points: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:
     d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
     labels = d2.argmin(axis=1)  # first minimum = lowest cluster id on ties
     return labels.astype(np.int64), centers
+
+
+# ---------------------------------------------------------------------------
+# per-point block merging reference
+
+def block_merging_loop(predictions: list[BlockPrediction], scene: Scene, num_classes: int,
+                       voxel_divisions: int = 400, overlap_threshold: float = 0.3) -> SceneSegmentation:
+    """Merge per-block instance ids into scene-level ids over a voxel grid,
+    with tuple-keyed dicts and one nearest-voxel scan per uncovered point.
+
+    Blocks are processed in order. A block-local instance merges into the
+    global id whose labeled voxels overlap its own by at least
+    ``overlap_threshold`` of the smaller voxel set (highest overlap wins,
+    ties to the lower id); otherwise it mints a new id. The symmetric ratio
+    keeps an instance whole when a thin sliver of it was processed first and
+    a much larger portion arrives later. Voxels keep their first assignment,
+    and per-point semantics are resolved by majority vote across overlapping
+    blocks.
+    """
+    if not 0 < overlap_threshold <= 1:
+        raise ValueError(f"overlap_threshold must be in (0, 1], got {overlap_threshold}")
+    n = scene.num_points
+    voxel_size = scene.room_extent / voxel_divisions
+    keys_per_point = np.floor(scene.points / voxel_size).astype(np.int64)
+
+    voxel_gid: dict[tuple[int, int, int], int] = {}
+    voxel_votes: dict[tuple[int, int, int], np.ndarray] = {}
+    gid_voxel_count: dict[int, int] = {}
+    point_votes = np.zeros((n, num_classes), dtype=np.int64)
+    next_gid = 0
+
+    for pred in predictions:
+        for pt, cls in zip(pred.point_indices, pred.semantic):
+            point_votes[pt, cls] += 1
+        for local in range(pred.num_instances):
+            members = pred.point_indices[pred.instance == local]
+            if members.size == 0:
+                continue
+            vkeys = {tuple(k) for k in keys_per_point[members]}
+            overlaps: dict[int, int] = {}
+            for k in vkeys:
+                gid = voxel_gid.get(k)
+                if gid is not None:
+                    overlaps[gid] = overlaps.get(gid, 0) + 1
+            merged = False
+            if overlaps:
+                best = min(overlaps, key=lambda g: (-overlaps[g], g))
+                denom = min(len(vkeys), gid_voxel_count[best])
+                merged = overlaps[best] / denom >= overlap_threshold
+            gid = best if merged else next_gid
+            if not merged:
+                next_gid += 1
+                gid_voxel_count[gid] = 0
+            cls = int(pred.instance_categories[local])
+            for k in vkeys:
+                if k not in voxel_gid:
+                    voxel_gid[k] = gid
+                    gid_voxel_count[gid] += 1
+                votes = voxel_votes.get(k)
+                if votes is None:
+                    votes = np.zeros(num_classes, dtype=np.int64)
+                    voxel_votes[k] = votes
+                votes[cls] += 1
+
+    labeled_keys = list(voxel_gid.keys())
+    labeled_centers = (np.array(labeled_keys, dtype=np.float64) + 0.5) * voxel_size if labeled_keys else None
+
+    instance = np.empty(n, dtype=np.int64)
+    semantic = np.empty(n, dtype=np.int64)
+    uncovered = 0
+    for i in range(n):
+        key = tuple(keys_per_point[i])
+        gid = voxel_gid.get(key)
+        if gid is None:
+            uncovered += 1
+            if labeled_centers is None:
+                instance[i] = 0
+                semantic[i] = 0
+                continue
+            nearest = int(np.argmin(((labeled_centers - scene.points[i]) ** 2).sum(axis=1)))
+            key = labeled_keys[nearest]
+            gid = voxel_gid[key]
+        instance[i] = gid
+        if point_votes[i].sum() > 0:
+            semantic[i] = int(point_votes[i].argmax())
+        else:
+            semantic[i] = int(voxel_votes[key].argmax())
+
+    # relabel instances densely in order of first appearance
+    remap: dict[int, int] = {}
+    for i in range(n):
+        g = int(instance[i])
+        if g not in remap:
+            remap[g] = len(remap)
+        instance[i] = remap[g]
+    return SceneSegmentation(semantic=semantic, instance=instance,
+                             num_instances=len(remap), uncovered_points=uncovered)

@@ -5,12 +5,12 @@ import pytest
 
 from jointseg import inference
 from jointseg.backbone import LayerSpec
-from jointseg.data import Scene, split_into_blocks
+from jointseg.data import Scene, SyntheticSceneSpec, generate_scene, split_into_blocks
 from jointseg.inference import (BlockPrediction, MeanShiftConfig, block_merging, mean_shift,
                                 predict_block, segment_scene)
 from jointseg.network import SegmentationNetwork
 
-from oracles import mean_shift_dense
+from oracles import block_merging_loop, mean_shift_dense
 
 CFG = MeanShiftConfig(bandwidth=0.6)
 
@@ -382,3 +382,144 @@ def test_uncovered_points_resolved_and_counted():
     seg = block_merging(preds, scene, num_classes=1)
     assert seg.uncovered_points == 1
     assert seg.instance[2] == seg.instance[0]  # adopted from the nearest labeled voxel
+
+
+def test_block_merging_rejects_bad_settings():
+    scene = scene_grid()
+    with pytest.raises(ValueError, match="voxel_divisions"):
+        block_merging([], scene, num_classes=3, voxel_divisions=0)
+    with pytest.raises(ValueError, match="overlap_threshold"):
+        block_merging([], scene, num_classes=3, overlap_threshold=float("nan"))
+    preds = gt_predictions(scene, split_into_blocks(scene, block_size=2.0, stride=1.0,
+                                                    points_per_block=576))
+    with pytest.raises(ValueError, match="semantic ids"):
+        block_merging(preds, scene, num_classes=2)  # the strips carry class 2
+
+
+# ---------------------------------------------------------------------------
+# block merging against the per-point loop reference
+
+def criterion7_scene():
+    return generate_scene(SyntheticSceneSpec(seed=21, room_extent=(2.0, 2.0, 0.8), num_classes=4,
+                                             instance_range=(6, 6),
+                                             points_per_instance=(150, 250), noise_std=0.003))
+
+
+def dense_scene(seed):
+    """A 3 m room of ~29k points, as in the segment-512-dense benchmark."""
+    return generate_scene(SyntheticSceneSpec(seed=seed, room_extent=(3.0, 3.0, 0.8),
+                                             num_classes=4, instance_range=(6, 6),
+                                             points_per_instance=(4700, 4950)))
+
+
+def noisy_predictions(scene, blocks, rng):
+    """Ground-truth block predictions with instances cut in two along x,
+    stray points moved to other instances, ids shuffled and classes flipped."""
+    preds = []
+    for pred in gt_predictions(scene, blocks):
+        inst = pred.instance.copy()
+        x = scene.points[pred.point_indices, 0]
+        k = pred.num_instances
+        for local in range(pred.num_instances):
+            members = inst == local
+            if rng.random() < 0.5:
+                inst[members & (x > np.median(x[members]))] = k
+                k += 1
+        stray = rng.random(inst.size) < 0.05
+        inst[stray] = rng.integers(0, k, int(stray.sum()))
+        inst = rng.permutation(k)[inst]
+        _, inst = np.unique(inst, return_inverse=True)  # dense again
+        semantic = pred.semantic.copy()
+        flip = rng.random(semantic.size) < 0.1
+        semantic[flip] = rng.integers(0, 4, int(flip.sum()))
+        preds.append(BlockPrediction(semantic=semantic, instance=inst,
+                                     instance_categories=rng.integers(0, 4, int(inst.max()) + 1),
+                                     point_indices=pred.point_indices))
+    return preds
+
+
+def assert_matches_loop(preds, scene, num_classes, voxel_divisions):
+    seg = block_merging(preds, scene, num_classes, voxel_divisions)
+    ref = block_merging_loop(preds, scene, num_classes, voxel_divisions)
+    assert np.array_equal(seg.instance, ref.instance)
+    assert np.array_equal(seg.semantic, ref.semantic)
+    assert seg.num_instances == ref.num_instances
+    assert seg.uncovered_points == ref.uncovered_points
+
+
+MERGE_CASES = ([("grid", seed, ppb) for seed in range(5) for ppb in (100, 200, 400)]
+               + [("criterion7", 0, 512), ("criterion7", 0, 128),
+                  ("dense", 0, 512), ("dense", 1, 512)])
+
+
+def merge_case(kind, seed, ppb):
+    if kind == "grid":
+        scene = scene_grid()
+        blocks = split_into_blocks(scene, block_size=1.0, stride=0.5, points_per_block=ppb,
+                                   min_points=32, rng=np.random.default_rng(seed))
+        return scene, blocks, 3
+    scene = criterion7_scene() if kind == "criterion7" else dense_scene(seed)
+    blocks = split_into_blocks(scene, block_size=1.0, stride=0.5, points_per_block=ppb,
+                               min_points=16, rng=np.random.default_rng(seed))
+    return scene, blocks, 4
+
+
+@pytest.mark.parametrize("voxel_divisions", [400, 25])
+@pytest.mark.parametrize("kind,seed,ppb", MERGE_CASES)
+def test_merging_matches_loop_on_ground_truth_blocks(kind, seed, ppb, voxel_divisions):
+    scene, blocks, num_classes = merge_case(kind, seed, ppb)
+    assert_matches_loop(gt_predictions(scene, blocks), scene, num_classes, voxel_divisions)
+
+
+@pytest.mark.parametrize("voxel_divisions", [400, 25])
+@pytest.mark.parametrize("kind,seed,ppb", MERGE_CASES)
+def test_merging_matches_loop_on_noisy_blocks(kind, seed, ppb, voxel_divisions):
+    scene, blocks, _ = merge_case(kind, seed, ppb)
+    rng = np.random.default_rng(1000 + seed + ppb)
+    assert_matches_loop(noisy_predictions(scene, blocks, rng), scene, 4, voxel_divisions)
+
+
+def test_uncovered_point_on_an_exact_tie_takes_the_lower_voxel_key():
+    # voxels of 0.25 m: centres are exact binary fractions, and the third
+    # point lies exactly midway between the centres of voxels (0,0,0) and (2,0,0)
+    pts = np.array([[0.1, 0.1, 0.1], [0.6, 0.1, 0.1], [0.375, 0.125, 0.125]])
+    scene = Scene(pts, np.zeros((3, 3)), np.zeros(3, int), np.zeros(3, int), (1, 1, 1))
+    preds = [  # voxel (2,0,0) is labeled first
+        BlockPrediction(semantic=np.array([1]), instance=np.array([0]),
+                        instance_categories=np.array([1]), point_indices=np.array([1])),
+        BlockPrediction(semantic=np.array([2]), instance=np.array([0]),
+                        instance_categories=np.array([2]), point_indices=np.array([0])),
+    ]
+    seg = block_merging(preds, scene, num_classes=3, voxel_divisions=4)
+    assert seg.uncovered_points == 1
+    assert seg.num_instances == 2
+    assert seg.instance[2] == seg.instance[0]
+    assert seg.semantic[2] == 2  # the vote of voxel (0,0,0)
+
+
+@pytest.mark.parametrize("scale,offset", [(0.25, 0.0), (0.1, 0.37), (0.0075, 11.5)])
+def test_nearest_voxel_query_matches_brute_force_near_ties(scale, offset):
+    rng = np.random.default_rng(14)
+    centres = integer_lattice(side=5) * scale + offset
+    a = rng.integers(0, len(centres), 300)
+    b = rng.integers(0, len(centres), 300)
+    mid = (centres[a] + centres[b]) / 2  # equidistant from two centres, up to rounding
+    nudge = rng.choice([0.0, 1e-15, -1e-15, 1e-12, -1e-9], size=(300, 1)) * scale
+    points = np.concatenate([mid, mid + nudge, centres[a] + scale / 2,
+                             rng.uniform(-1, 6, (37, 3)) * scale + offset])
+    brute = np.array([((centres - p) ** 2).sum(axis=1).argmin() for p in points])
+    assert np.array_equal(inference._nearest(points, centres), brute)
+
+
+def test_merging_peak_memory_on_a_dense_scene():
+    scene = dense_scene(0)
+    preds = gt_predictions(scene, split_into_blocks(scene, points_per_block=512,
+                                                    rng=np.random.default_rng(3)))
+    tracemalloc.start()
+    try:
+        seg = block_merging(preds, scene, num_classes=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seg.uncovered_points > scene.num_points // 2  # the fallback query ran at scale
+    assert peak < 24 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"

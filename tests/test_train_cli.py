@@ -238,6 +238,8 @@ def test_cli_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("line", [
     "bandwidth = -1", "bandwidth = 0", "bandwidth = nan", "bandwidth = inf",
     "ms_max_iter = 0", "ms_tol = 0", "ms_tol = -1e-4", "ms_tol = nan", "ms_tol = inf",
+    "voxel_divisions = 0", "voxel_divisions = -3",
+    "overlap_threshold = 0", "overlap_threshold = nan", "overlap_threshold = 1.5",
 ])
 def test_cli_rejects_bad_clustering_settings_before_loading(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
@@ -247,6 +249,17 @@ def test_cli_rejects_bad_clustering_settings_before_loading(tmp_path, capsys, li
                      "--scene", str(tmp_path / "none.scene"), "--out", str(tmp_path / "pred")])
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_learning_rate(tmp_path, capsys, value):
+    lines = [l for l in tiny_config().to_kv_lines() if not l.startswith("learning_rate")]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(lines + [f"learning_rate = {value}"]) + "\n")
+    code = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_CONFIG
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
 def test_cli_data_error_exit_code(tmp_path):
@@ -269,3 +282,24 @@ def test_cli_checkpoint_error_exit_code(tmp_path):
                      "--scene", str(sorted(scenes.glob('*.scene'))[0]),
                      "--out", str(tmp_path / "pred")])
     assert code == cli.EXIT_CHECKPOINT
+
+
+def test_cli_refuses_checkpoint_with_non_finite_parameter(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    cfg = tiny_config(seed=6, data_dir=str(scenes), iterations=2)
+    cfg_path = write_config(tmp_path / "c.cfg", cfg)
+    cli.main(["gen-data", "--config", cfg_path, "--out", str(scenes)])
+    cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")])
+
+    ckpt = load_checkpoint(tmp_path / "run" / "model.ckpt")
+    name = sorted(ckpt.parameters)[3]
+    ckpt.parameters[name].flat[1] = np.nan
+    diverged = tmp_path / "diverged.ckpt"
+    save_checkpoint(diverged, ckpt.parameters, ckpt.optimizer_state, ckpt.iteration,
+                    ckpt.optimizer_step, ckpt.config_digest, ckpt.model_digest)
+    capsys.readouterr()
+    code = cli.main(["infer", "--config", cfg_path, "--checkpoint", str(diverged),
+                     "--scene", str(sorted(scenes.glob("*.scene"))[0]),
+                     "--out", str(tmp_path / "pred")])
+    assert code == cli.EXIT_CHECKPOINT
+    assert repr(name) in capsys.readouterr().err
