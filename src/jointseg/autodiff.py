@@ -43,10 +43,6 @@ def no_grad():
         _RECORDING = prev
 
 
-def is_recording() -> bool:
-    return _RECORDING
-
-
 class Tensor:
     """A dense float array plus an optional position in the operation graph.
 
@@ -81,38 +77,11 @@ class Tensor:
             raise GraphError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A leaf view of the same values that receives no gradient."""
-        return Tensor(self.values, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; all graph building happens in the module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def tensor(values, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(values, requires_grad=requires_grad, dtype=dtype)
 
 
 def _make(values: np.ndarray, parents: tuple[Tensor, ...], backprop) -> Tensor:
@@ -404,18 +373,6 @@ def rowmax_pool(x: Tensor, group_size: int) -> Tensor:
         z = np.zeros((m, group_size, c), dtype=g.dtype)
         np.put_along_axis(z, arg[:, None, :], g[:, None, :], axis=1)
         accum(x, z.reshape(n, c))
-
-    return _make(out, (x,), backprop)
-
-
-def tile_rows(x: Tensor, n: int) -> Tensor:
-    """Repeat a (1, C) row vector into (n, C); backward sums over the rows."""
-    if x.values.ndim != 2 or x.shape[0] != 1:
-        raise DimensionError(f"tile_rows needs shape (1, C), got {x.shape}")
-    out = np.broadcast_to(x.values, (n, x.shape[1])).copy()
-
-    def backprop(g, accum):
-        accum(x, g.sum(axis=0, keepdims=True))
 
     return _make(out, (x,), backprop)
 

@@ -15,12 +15,17 @@ training loop can cache across iterations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .layers import Conv1x1, collect_parameters
+
+IN_CHANNELS = 9  # per-point input features: xyz, rgb, normalized xyz
+ENCODER_WIDTH = 512
+DECODER_WIDTHS = (256, 128, 128)  # decoder outputs at the coarse/mid/full levels
 
 
 @dataclass
@@ -32,22 +37,23 @@ class LayerSpec:
     radii: tuple[float, float, float] = (0.2, 0.4, 0.8)
     nsamples: tuple[int, int, int] = (16, 16, 16)
     density_reweight: bool = False
-    encoder_width: int = 512
-    in_channels: int = 9
-    # decoder output widths for the coarse/mid/full levels
-    decoder_widths: tuple[int, int, int] = (256, 128, 128)
 
     def __post_init__(self):
-        pts = list(self.npoints)
-        if any(pts[i] <= pts[i + 1] for i in range(len(pts) - 1)) or pts[-1] < 1:
-            raise ValueError(f"npoints must be strictly decreasing and >= 1, got {self.npoints}")
-        if self.encoder_width != 512:
-            raise ValueError("final encoder width is fixed at 512")
+        for name in ("npoints", "widths", "radii", "nsamples"):
+            if len(values := getattr(self, name)) != 3:
+                raise ValueError(f"{name} needs one value per encoder level, got {values}")
+        pts = self.npoints
+        if not pts[0] > pts[1] > pts[2] >= 1:
+            raise ValueError(f"npoints must be strictly decreasing and >= 1, got {pts}")
+        if min(self.widths) < 1 or min(self.nsamples) < 1:
+            raise ValueError(f"widths and nsamples must be >= 1: {self.widths}, {self.nsamples}")
+        if not all(math.isfinite(r) and r > 0 for r in self.radii):
+            raise ValueError(f"radii must be positive and finite, got {self.radii}")
 
 
 @dataclass
 class DecoderFeatures:
-    """Last three decoder layer outputs with their point coordinates.
+    """Last three decoder layer outputs.
 
     full: (N_a, 128), mid: (N_b, 128), coarse: (N_c, 256).
     """
@@ -55,9 +61,6 @@ class DecoderFeatures:
     full: ad.Tensor
     mid: ad.Tensor
     coarse: ad.Tensor
-    coords_full: np.ndarray
-    coords_mid: np.ndarray
-    coords_coarse: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +143,10 @@ def nearest_neighbor_interpolation(fine_coords: np.ndarray, coarse_coords: np.nd
     return order, w
 
 
-def interpolation_matrix(fine_coords: np.ndarray, coarse_coords: np.ndarray,
-                         k: int = 3, eps: float = 1e-8) -> np.ndarray:
+def interpolation_matrix(fine_coords: np.ndarray, coarse_coords: np.ndarray) -> np.ndarray:
     """The 3-nearest-neighbor interpolation as a dense (N_fine, N_coarse)
     row-stochastic matrix, so upsampling becomes one matrix product."""
-    idx, w = nearest_neighbor_interpolation(fine_coords, coarse_coords, k, eps)
+    idx, w = nearest_neighbor_interpolation(fine_coords, coarse_coords)
     mat = np.zeros((fine_coords.shape[0], coarse_coords.shape[0]))
     np.put_along_axis(mat, idx, w, axis=1)
     return mat
@@ -157,9 +159,10 @@ class BlockGeometry:
     levels: coordinates at each resolution, fine to coarse.
     sa_indices / sa_rel / sa_scale: per encoder layer, the flattened neighbor
     indices, relative neighbor coordinates, and optional density scales.
-    fp_mats: interpolation matrices for the three decoder upsampling steps.
-    fusion_mid / fusion_coarse: interpolation matrices to full resolution for
-    the feature-fusion heads.
+    fp_mats: interpolation matrices for the three decoder upsampling steps,
+    coarse to full; the last one (mid level to full) also serves fusion.
+    fusion_coarse: the interpolation matrix from the coarse decoder level to
+    full resolution, for the feature-fusion heads.
     """
 
     levels: list[np.ndarray]
@@ -167,7 +170,6 @@ class BlockGeometry:
     sa_rel: list[ad.Tensor]
     sa_scale: list[ad.Tensor | None]
     fp_mats: list[ad.Tensor]
-    fusion_mid: ad.Tensor
     fusion_coarse: ad.Tensor
 
 
@@ -208,10 +210,6 @@ class SetAbstraction:
         h = self.conv2(self.conv1(h))
         return ad.rowmax_pool(h, self.nsample)
 
-    def __call__(self, feats: ad.Tensor, coords: np.ndarray) -> tuple[ad.Tensor, np.ndarray]:
-        center_coords, idx, rel, scale = self.compute_geometry(coords)
-        return self.apply(feats, idx, rel, scale), center_coords
-
     def parameters(self):
         return self.conv1.parameters() + self.conv2.parameters()
 
@@ -219,9 +217,7 @@ class SetAbstraction:
 class FeaturePropagation:
     """Interpolate coarse features up to a fine level, concat skips, and map."""
 
-    def __init__(self, name: str, cin: int, width: int, rng, dtype, eps: float = 1e-8):
-        self.eps = eps
-        self.dtype = dtype
+    def __init__(self, name: str, cin: int, width: int, rng, dtype):
         self.conv = Conv1x1(f"{name}.conv", cin, width, rng, dtype)
 
     def apply(self, coarse_feats: ad.Tensor, interp: ad.Tensor,
@@ -230,24 +226,19 @@ class FeaturePropagation:
         h = ad.concat(skip_feats, up) if skip_feats is not None else up
         return self.conv(h)
 
-    def __call__(self, coarse_feats: ad.Tensor, coarse_coords: np.ndarray,
-                 fine_coords: np.ndarray, skip_feats: ad.Tensor | None) -> ad.Tensor:
-        mat = interpolation_matrix(fine_coords, coarse_coords, eps=self.eps)
-        return self.apply(coarse_feats, ad.Tensor(mat.astype(self.dtype)), skip_feats)
-
     def parameters(self):
         return self.conv.parameters()
 
 
 class Encoder:
     def __init__(self, spec: LayerSpec, rng, dtype):
-        cins = (spec.in_channels,) + spec.widths[:2]
+        cins = (IN_CHANNELS,) + spec.widths[:2]
         self.layers = [
             SetAbstraction(f"encoder.sa{i+1}", cins[i], spec.widths[i], spec.npoints[i],
                            spec.radii[i], spec.nsamples[i], spec.density_reweight, rng, dtype)
             for i in range(3)
         ]
-        self.head = Conv1x1("encoder.head", spec.widths[2], spec.encoder_width, rng, dtype)
+        self.head = Conv1x1("encoder.head", spec.widths[2], ENCODER_WIDTH, rng, dtype)
 
     def apply(self, feats: ad.Tensor, geo: BlockGeometry):
         """Returns the coarse (N_e, 512) features plus per-level skip features."""
@@ -266,20 +257,18 @@ class Decoder:
     """Three upsampling layers from the coarse level back to full resolution."""
 
     def __init__(self, name: str, spec: LayerSpec, rng, dtype):
-        w_c, w_b, w_a = spec.decoder_widths
+        w_c, w_b, w_a = DECODER_WIDTHS
         self.fp_coarse = FeaturePropagation(f"{name}.fp_coarse",
-                                            spec.encoder_width + spec.widths[1], w_c, rng, dtype)
+                                            ENCODER_WIDTH + spec.widths[1], w_c, rng, dtype)
         self.fp_mid = FeaturePropagation(f"{name}.fp_mid", w_c + spec.widths[0], w_b, rng, dtype)
-        self.fp_full = FeaturePropagation(f"{name}.fp_full", w_b + spec.in_channels, w_a, rng, dtype)
+        self.fp_full = FeaturePropagation(f"{name}.fp_full", w_b + IN_CHANNELS, w_a, rng, dtype)
 
     def apply(self, encoded: ad.Tensor, skips, geo: BlockGeometry) -> DecoderFeatures:
         # skips: [input, sa1, sa2, sa3]; geo.levels: [a, b, c, e]
         f_c = self.fp_coarse.apply(encoded, geo.fp_mats[0], skips[2])
         f_b = self.fp_mid.apply(f_c, geo.fp_mats[1], skips[1])
         f_a = self.fp_full.apply(f_b, geo.fp_mats[2], skips[0])
-        return DecoderFeatures(full=f_a, mid=f_b, coarse=f_c,
-                               coords_full=geo.levels[0], coords_mid=geo.levels[1],
-                               coords_coarse=geo.levels[2])
+        return DecoderFeatures(full=f_a, mid=f_b, coarse=f_c)
 
     def parameters(self):
         return collect_parameters([self.fp_coarse, self.fp_mid, self.fp_full])
@@ -290,7 +279,6 @@ class Backbone:
     instance decoders."""
 
     def __init__(self, spec: LayerSpec, rng, dtype=np.float32):
-        self.spec = spec
         self.dtype = dtype
         self.encoder = Encoder(spec, rng, dtype)
         self.semantic_decoder = Decoder("semantic_decoder", spec, rng, dtype)
@@ -312,29 +300,14 @@ class Backbone:
         def mat(fine, coarse):
             return ad.Tensor(interpolation_matrix(levels[fine], levels[coarse]).astype(self.dtype))
 
-        return BlockGeometry(
-            levels=levels, sa_indices=sa_indices, sa_rel=sa_rel, sa_scale=sa_scale,
-            fp_mats=[mat(2, 3), mat(1, 2), mat(0, 1)],
-            fusion_mid=mat(0, 1), fusion_coarse=mat(0, 2),
-        )
+        return BlockGeometry(levels=levels, sa_indices=sa_indices, sa_rel=sa_rel,
+                             sa_scale=sa_scale, fp_mats=[mat(2, 3), mat(1, 2), mat(0, 1)],
+                             fusion_coarse=mat(0, 2))
 
     def apply(self, feats: ad.Tensor, geo: BlockGeometry) -> tuple[DecoderFeatures, DecoderFeatures]:
         encoded, skips = self.encoder.apply(feats, geo)
         return self.semantic_decoder.apply(encoded, skips, geo), \
             self.instance_decoder.apply(encoded, skips, geo)
-
-    def __call__(self, feats: ad.Tensor, coords: np.ndarray):
-        return self.apply(feats, self.compute_geometry(coords))
-
-    def forward_features(self, block_features: np.ndarray, dtype=None,
-                         geometry: BlockGeometry | None = None):
-        """Convenience wrapper: (N, 9) block features in, the two decoder
-        feature pyramids out. Coordinates are taken from columns 0-2."""
-        feats = np.asarray(block_features)
-        x = ad.Tensor(feats.astype(dtype or self.dtype))
-        if geometry is None:
-            geometry = self.compute_geometry(feats[:, :3])
-        return (*self.apply(x, geometry), geometry)
 
     def parameters(self):
         return collect_parameters([self.encoder, self.semantic_decoder, self.instance_decoder])

@@ -93,10 +93,20 @@ class RunConfig:
             raise ConfigError(f"voxel_divisions must be >= 1, got {self.voxel_divisions}")
         if not 0 < self.overlap_threshold <= 1:
             raise ConfigError(f"overlap_threshold must be in (0, 1], got {self.overlap_threshold}")
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.embedding_dim < 1:
+            raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         try:
             self.mean_shift_config()
         except ValueError as e:
             raise ConfigError(f"clustering (bandwidth, ms_max_iter, ms_tol): {e}") from e
+        try:
+            self.layer_spec()
+        except ValueError as e:
+            raise ConfigError(f"backbone (npoints, widths, radii, nsamples): {e}") from e
+        if self.npoints[0] > self.points_per_block:
+            raise ConfigError(f"npoints[0] = {self.npoints[0]} exceeds points_per_block")
 
     def layer_spec(self) -> LayerSpec:
         return LayerSpec(npoints=self.npoints, widths=self.widths, radii=self.radii,

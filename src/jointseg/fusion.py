@@ -12,27 +12,24 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .backbone import DecoderFeatures, interpolation_matrix
+from .backbone import DecoderFeatures
 from .layers import Conv1x1
+
+IN_WIDTH = 256   # full and mid features side by side, or the coarse features
+OUT_WIDTH = 128
 
 
 class FeatureFusion:
     """Fusion head for one decoder branch (256 -> 128)."""
 
-    def __init__(self, name: str, rng, dtype=np.float32, in_width: int = 256, out_width: int = 128):
-        self.dtype = dtype
-        self.conv = Conv1x1(f"{name}.conv", in_width, out_width, rng, dtype, activation="relu")
+    def __init__(self, name: str, rng, dtype=np.float32):
+        self.conv = Conv1x1(f"{name}.conv", IN_WIDTH, OUT_WIDTH, rng, dtype, activation="relu")
 
     def apply(self, df: DecoderFeatures, mid_mat: ad.Tensor, coarse_mat: ad.Tensor) -> ad.Tensor:
         mid_up = ad.matmul(mid_mat, df.mid)           # (N_a, 128)
         coarse_up = ad.matmul(coarse_mat, df.coarse)  # (N_a, 256)
         stacked = ad.concat(df.full, mid_up)          # (N_a, 256)
         return self.conv(ad.add(stacked, coarse_up))  # (N_a, 128)
-
-    def __call__(self, df: DecoderFeatures) -> ad.Tensor:
-        mid = ad.Tensor(interpolation_matrix(df.coords_full, df.coords_mid).astype(self.dtype))
-        coarse = ad.Tensor(interpolation_matrix(df.coords_full, df.coords_coarse).astype(self.dtype))
-        return self.apply(df, mid, coarse)
 
     def parameters(self):
         return self.conv.parameters()

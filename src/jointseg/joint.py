@@ -4,13 +4,14 @@ Two cross-wired branches sit on top of the fused backbone features. The
 instance branch transforms semantic features into the instance space, adds
 them to the instance features, gates the concatenated result by a per-point
 sigmoid of its feature mean, and maps it to a K-dim embedding. The semantic
-branch aggregates the gated instance features into one global context vector
-(convolution, mean over points, tiling), adds it to the semantic features,
-applies the same gating pattern, and maps to class logits.
+branch aggregates the gated instance features into one global context row
+(convolution, then mean over points), adds it to every row of the semantic
+features by broadcasting, applies the same gating pattern, and maps to class
+logits.
 
 Either cross-injection can be disabled: with instance fusion off the
 semantic-to-instance transform is replaced by zero, with semantic fusion off
-the tiled instance context is replaced by zero; the heads always run.
+the instance context is a zero row; the heads always run.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class JointHeadFeatures:
     ins_cat: ad.Tensor         # (N, 2W)  concat of instance and fused features
     ins_gate: ad.Tensor        # (N, 1)   sigmoid of per-point feature mean
     ins_gated: ad.Tensor       # (N, 2W)  gated instance fusion features
-    ins_context: ad.Tensor     # (N, W)   tiled global instance context
+    ins_context: ad.Tensor     # (1, W)   global instance context
     sem_cat: ad.Tensor         # (N, 2W)  concat of semantic and context-fused
     sem_gate: ad.Tensor        # (N, 1)
     sem_gated: ad.Tensor       # (N, 2W)
@@ -44,24 +45,19 @@ class JointSegmentationHead:
     """Parameters and forward pass of the joint head.
 
     ``width`` is the channel count of each incoming feature matrix (128 in
-    the full network; tests shrink it). ``gate_mean_axis`` / ``context_mean_axis``
-    expose the reduction axes of the gating and aggregation means (feature
-    axis and point axis by default).
+    the full network; tests shrink it). Each gate is a sigmoid of the
+    per-point mean over the feature axis; the instance context is the mean
+    over the point axis.
     """
 
     def __init__(self, num_classes: int, embedding_dim: int = 5, width: int = 128,
                  rng: np.random.Generator | None = None, dtype=np.float32,
-                 instance_fusion: bool = True, semantic_fusion: bool = True,
-                 gate_mean_axis: int = 1, context_mean_axis: int = 0):
+                 instance_fusion: bool = True, semantic_fusion: bool = True):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.num_classes = num_classes
-        self.embedding_dim = embedding_dim
         self.width = width
         self.instance_fusion = instance_fusion
         self.semantic_fusion = semantic_fusion
-        self.gate_mean_axis = gate_mean_axis
-        self.context_mean_axis = context_mean_axis
         w = width
         self.sem_to_ins = Conv1x1("joint.sem_to_ins", w, w, rng, dtype, activation="relu")
         self.ins_head1 = Conv1x1("joint.ins_head1", 2 * w, w, rng, dtype, activation="relu")
@@ -86,7 +82,7 @@ class JointSegmentationHead:
             sem_t = ad.Tensor(np.zeros_like(f_ins.values))
             fused = f_ins
         cat = ad.concat(f_ins, fused)                                  # (N, 2W)
-        gate = ad.sigmoid(ad.reduce_mean(cat, axis=self.gate_mean_axis))
+        gate = ad.sigmoid(ad.reduce_mean(cat, axis=1))
         gated = ad.mul(cat, gate)
         emb = self.ins_head2(self.ins_head1(gated))
         return emb, gated, {"sem_to_ins": sem_t, "ins_fused": fused, "ins_cat": cat,
@@ -94,16 +90,14 @@ class JointSegmentationHead:
 
     def semantic_branch(self, f_sem: ad.Tensor, ins_gated: ad.Tensor):
         """Instance-aware class logits from the gated instance features."""
-        n = f_sem.shape[0]
         if self.semantic_fusion:
-            ctx = ad.reduce_mean(self.ins_to_sem(ins_gated), axis=self.context_mean_axis)
-            context = ad.tile_rows(ctx, n) if self.context_mean_axis == 0 else ctx
+            context = ad.reduce_mean(self.ins_to_sem(ins_gated), axis=0)  # (1, W)
             fused = ad.add(f_sem, context)
         else:
-            context = ad.Tensor(np.zeros_like(f_sem.values))
+            context = ad.Tensor(np.zeros_like(f_sem.values[:1]))
             fused = f_sem
         cat = ad.concat(f_sem, fused)                                  # (N, 2W)
-        gate = ad.sigmoid(ad.reduce_mean(cat, axis=self.gate_mean_axis))
+        gate = ad.sigmoid(ad.reduce_mean(cat, axis=1))
         gated = ad.mul(cat, gate)
         logits = self.sem_head2(self.sem_head1(gated))
         return logits, {"ins_context": context, "sem_cat": cat, "sem_gate": gate,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .backbone import Backbone, LayerSpec
+from .backbone import DECODER_WIDTHS, Backbone, BlockGeometry, LayerSpec
 from .fusion import FeatureFusion
 from .joint import JointHeadFeatures, JointSegmentationHead
 from .layers import collect_parameters
@@ -25,30 +25,32 @@ class SegmentationNetwork:
                  seed: int = 0, dtype=np.float32, use_fusion: bool = True,
                  instance_fusion: bool = True, semantic_fusion: bool = True):
         rng = np.random.default_rng(seed)
-        self.spec = spec
         self.num_classes = num_classes
-        self.embedding_dim = embedding_dim
         self.dtype = dtype
         self.use_fusion = use_fusion
         self.backbone = Backbone(spec, rng, dtype)
-        width = spec.decoder_widths[2]
         self.fusion_sem = FeatureFusion("fusion_sem", rng, dtype)
         self.fusion_ins = FeatureFusion("fusion_ins", rng, dtype)
-        self.head = JointSegmentationHead(num_classes, embedding_dim, width, rng, dtype,
-                                          instance_fusion=instance_fusion,
+        self.head = JointSegmentationHead(num_classes, embedding_dim, DECODER_WIDTHS[2], rng,
+                                          dtype, instance_fusion=instance_fusion,
                                           semantic_fusion=semantic_fusion)
         self._params = collect_parameters(
             [self.backbone, self.fusion_sem, self.fusion_ins, self.head])
 
-    def compute_geometry(self, block_features: np.ndarray):
+    def compute_geometry(self, block_features: np.ndarray) -> BlockGeometry:
         return self.backbone.compute_geometry(np.asarray(block_features)[:, :3])
 
-    def forward(self, block_features: np.ndarray, geometry=None) -> JointHeadFeatures:
-        sem_df, ins_df, geometry = self.backbone.forward_features(
-            block_features, self.dtype, geometry)
+    def forward(self, block_features: np.ndarray,
+                geometry: BlockGeometry | None = None) -> JointHeadFeatures:
+        """(N, 9) block features in; geometry from columns 0-2 unless passed."""
+        if geometry is None:
+            geometry = self.compute_geometry(block_features)
+        x = ad.Tensor(np.asarray(block_features).astype(self.dtype))
+        sem_df, ins_df = self.backbone.apply(x, geometry)
         if self.use_fusion:
-            f_sem = self.fusion_sem.apply(sem_df, geometry.fusion_mid, geometry.fusion_coarse)
-            f_ins = self.fusion_ins.apply(ins_df, geometry.fusion_mid, geometry.fusion_coarse)
+            mid, coarse = geometry.fp_mats[2], geometry.fusion_coarse
+            f_sem = self.fusion_sem.apply(sem_df, mid, coarse)
+            f_ins = self.fusion_ins.apply(ins_df, mid, coarse)
         else:
             f_sem, f_ins = sem_df.full, ins_df.full
         return self.head(f_sem, f_ins)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,7 +95,8 @@ def train(cfg: RunConfig, out_dir) -> TrainResult:
     """Run the optimization loop and write the checkpoint plus loss trace.
 
     Deterministic given (config, seed): all randomness flows from one
-    generator consumed in a fixed order.
+    generator consumed in a fixed order. A run whose loss or parameters turn
+    non-finite raises ``ConfigError`` and writes no checkpoint.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -144,6 +146,9 @@ def train(cfg: RunConfig, out_dir) -> TrainResult:
             loss = _block_loss(network, block, cfg)
             ad.backward(ad.mul_scalar(loss, 1.0 / cfg.batch_size))
             batch_loss += loss.item()
+        if not math.isfinite(batch_loss):
+            raise ConfigError(f"training diverged: non-finite loss at iteration {it + 1} "
+                              f"(learning_rate = {cfg.learning_rate})")
         adam.step()
         trace.append(batch_loss / cfg.batch_size)
         iterations_run = it + 1
@@ -159,6 +164,10 @@ def train(cfg: RunConfig, out_dir) -> TrainResult:
                     stopped_early = True
                     break
 
+    for p in network.parameters():
+        if not np.isfinite(p.values).all():
+            raise ConfigError(f"training diverged: parameter {p.name!r} is non-finite "
+                              f"after iteration {iterations_run}")
     ckpt_path = out / "model.ckpt"
     save_checkpoint(ckpt_path,
                     {p.name: p.values for p in network.parameters()},

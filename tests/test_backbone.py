@@ -142,13 +142,24 @@ def test_interpolation_fewer_than_three_coarse_points():
 # ---------------------------------------------------------------------------
 # set abstraction / feature propagation
 
+def set_abstraction(sa, feats, coords):
+    """Output features and center coordinates of one layer on raw coordinates."""
+    centers, idx, rel, scale = sa.compute_geometry(coords)
+    return sa.apply(feats, idx, rel, scale), centers
+
+
+def propagate(fp, coarse_feats, coarse_coords, fine_coords, skip_feats):
+    mat = ad.Tensor(interpolation_matrix(fine_coords, coarse_coords))
+    return fp.apply(coarse_feats, mat, skip_feats)
+
+
 def test_set_abstraction_constant_inputs_give_constant_outputs():
     rng = np.random.default_rng(9)
     sa = SetAbstraction("sa", cin=5, width=7, npoint=4, radius=1.0, nsample=3,
                         density_reweight=False, rng=rng, dtype=np.float64)
     coords = np.zeros((12, 3))  # coincident points: no relative-coordinate variation
     feats = ad.Tensor(np.full((12, 5), 0.7))
-    out, centers = sa(feats, coords)
+    out, centers = set_abstraction(sa, feats, coords)
     assert out.shape == (4, 7)
     assert np.allclose(out.values, out.values[0])
     assert centers.shape == (4, 3)
@@ -158,7 +169,8 @@ def test_set_abstraction_output_shape_contract():
     rng = np.random.default_rng(10)
     sa = SetAbstraction("sa", cin=9, width=16, npoint=6, radius=0.6, nsample=5,
                         density_reweight=True, rng=rng, dtype=np.float64)
-    out, centers = sa(ad.Tensor(rng.standard_normal((20, 9))), rng.uniform(0, 1, (20, 3)))
+    out, centers = set_abstraction(sa, ad.Tensor(rng.standard_normal((20, 9))),
+                                   rng.uniform(0, 1, (20, 3)))
     assert out.shape == (6, 16) and centers.shape == (6, 3)
 
 
@@ -171,11 +183,11 @@ def test_set_abstraction_gradient_matches_finite_differences():
     probe = rng.standard_normal((3, 5))
 
     def f(xv):
-        out, _ = sa(ad.Tensor(xv), coords)
+        out, _ = set_abstraction(sa, ad.Tensor(xv), coords)
         return ad.reduce_sum(ad.mul(out, ad.Tensor(probe))).item()
 
     x = ad.Tensor(x0, requires_grad=True)
-    out, _ = sa(x, coords)
+    out, _ = set_abstraction(sa, x, coords)
     ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe))))
     assert max_rel_err(x.grad, fd_grad(f, x0)) < 1e-5
 
@@ -187,7 +199,7 @@ def test_feature_propagation_coincident_point_takes_coarse_feature():
     fp.conv.bias.assign(np.zeros((1, 4)))
     coarse_coords = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
     coarse = ad.Tensor(np.abs(rng.standard_normal((4, 4))) + 0.1)
-    out = fp(coarse, coarse_coords, coarse_coords[:2], None)
+    out = propagate(fp, coarse, coarse_coords, coarse_coords[:2], None)
     assert np.allclose(out.values, coarse.values[:2], atol=1e-4)
 
 
@@ -203,11 +215,11 @@ def test_feature_propagation_parameter_gradient():
 
     def f(wv):
         fp.conv.weight.assign(wv)
-        out = fp(ad.Tensor(coarse0), coarse_coords, fine_coords, skip)
+        out = propagate(fp, ad.Tensor(coarse0), coarse_coords, fine_coords, skip)
         return ad.reduce_sum(ad.mul(out, ad.Tensor(probe))).item()
 
     fp.conv.weight.assign(w0)
-    out = fp(ad.Tensor(coarse0), coarse_coords, fine_coords, skip)
+    out = propagate(fp, ad.Tensor(coarse0), coarse_coords, fine_coords, skip)
     ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe))))
     grad = fp.conv.weight.grad.copy()
     assert max_rel_err(grad, fd_grad(f, w0)) < 1e-5
@@ -218,6 +230,11 @@ def test_feature_propagation_parameter_gradient():
 
 def make_backbone(seed=0, dtype=np.float64):
     return Backbone(tiny_spec(), np.random.default_rng(seed), dtype)
+
+
+def forward_features(bb, feats):
+    """The two decoder feature pyramids of (N, 9) block features."""
+    return bb.apply(ad.Tensor(feats), bb.compute_geometry(feats[:, :3]))
 
 
 def block_features(seed=0, n=32):
@@ -231,14 +248,14 @@ def block_features(seed=0, n=32):
 
 def test_backbone_output_shapes():
     bb = make_backbone()
-    sem, ins, _ = bb.forward_features(block_features())
+    sem, ins = forward_features(bb, block_features())
     assert sem.full.shape == (32, 128) and ins.full.shape == (32, 128)
     assert sem.mid.shape == (8, 128) and sem.coarse.shape == (4, 256)
 
 
 def test_backbone_deterministic_given_seed():
-    a_sem, a_ins, _ = make_backbone(seed=5).forward_features(block_features())
-    b_sem, b_ins, _ = make_backbone(seed=5).forward_features(block_features())
+    a_sem, a_ins = forward_features(make_backbone(seed=5), block_features())
+    b_sem, b_ins = forward_features(make_backbone(seed=5), block_features())
     assert np.array_equal(a_sem.full.values, b_sem.full.values)
     assert np.array_equal(a_ins.full.values, b_ins.full.values)
 
@@ -246,19 +263,19 @@ def test_backbone_deterministic_given_seed():
 def test_decoders_are_independent_and_encoder_is_shared():
     bb = make_backbone(seed=6)
     feats = block_features(seed=1)
-    sem0, ins0, _ = bb.forward_features(feats)
+    sem0, ins0 = forward_features(bb, feats)
 
     # perturbing a semantic-decoder parameter must not change instance features
     p = bb.semantic_decoder.fp_full.conv.weight
     p.assign(p.values + 0.25)
-    sem1, ins1, _ = bb.forward_features(feats)
+    sem1, ins1 = forward_features(bb, feats)
     assert np.array_equal(ins0.full.values, ins1.full.values)
     assert not np.array_equal(sem0.full.values, sem1.full.values)
 
     # and vice versa
     q = bb.instance_decoder.fp_full.conv.weight
     q.assign(q.values + 0.25)
-    sem2, ins2, _ = bb.forward_features(feats)
+    sem2, ins2 = forward_features(bb, feats)
     assert np.array_equal(sem1.full.values, sem2.full.values)
     assert not np.array_equal(ins1.full.values, ins2.full.values)
 
@@ -271,7 +288,7 @@ def test_encoder_gradients_accumulate_from_both_branches():
     def run(branch):
         for p in bb.parameters():
             p.zero_grad()
-        sem, ins, _ = bb.forward_features(feats)
+        sem, ins = forward_features(bb, feats)
         target = sem.full if branch == "sem" else ins.full
         ad.backward(ad.reduce_sum(target))
         return enc_param.grad.copy()
@@ -280,7 +297,7 @@ def test_encoder_gradients_accumulate_from_both_branches():
     g_ins = run("ins")
     for p in bb.parameters():
         p.zero_grad()
-    sem, ins, _ = bb.forward_features(feats)
+    sem, ins = forward_features(bb, feats)
     ad.backward(ad.add(ad.reduce_sum(sem.full), ad.reduce_sum(ins.full)))
     assert np.allclose(enc_param.grad, g_sem + g_ins, rtol=1e-9, atol=1e-12)
 
@@ -327,5 +344,4 @@ def test_backbone_parameter_gradient_finite_differences():
 def test_layer_spec_validation():
     with pytest.raises(ValueError):
         LayerSpec(npoints=(8, 8, 2))
-    with pytest.raises(ValueError):
-        LayerSpec(encoder_width=256)
+

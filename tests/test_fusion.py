@@ -1,38 +1,53 @@
+from typing import NamedTuple
+
 import numpy as np
 
 from jointseg import autodiff as ad
-from jointseg.backbone import DecoderFeatures
+from jointseg.backbone import DecoderFeatures, interpolation_matrix
 from jointseg.fusion import FeatureFusion
 from oracles import fd_grad, max_rel_err
 
 
+class Coords(NamedTuple):
+    """Point coordinates of the three decoder levels."""
+
+    full: np.ndarray
+    mid: np.ndarray
+    coarse: np.ndarray
+
+
 def make_df(rng, n_full=12, n_mid=6, n_coarse=3, dtype=np.float64):
-    return DecoderFeatures(
+    df = DecoderFeatures(
         full=ad.Tensor(rng.standard_normal((n_full, 128)).astype(dtype)),
         mid=ad.Tensor(rng.standard_normal((n_mid, 128)).astype(dtype)),
         coarse=ad.Tensor(rng.standard_normal((n_coarse, 256)).astype(dtype)),
-        coords_full=rng.uniform(0, 1, (n_full, 3)),
-        coords_mid=rng.uniform(0, 1, (n_mid, 3)),
-        coords_coarse=rng.uniform(0, 1, (n_coarse, 3)),
     )
+    return df, Coords(rng.uniform(0, 1, (n_full, 3)), rng.uniform(0, 1, (n_mid, 3)),
+                      rng.uniform(0, 1, (n_coarse, 3)))
+
+
+def fuse(ff, df, coords):
+    """Fusion output with the interpolation matrices built from ``coords``."""
+    return ff.apply(df, ad.Tensor(interpolation_matrix(coords.full, coords.mid)),
+                    ad.Tensor(interpolation_matrix(coords.full, coords.coarse)))
 
 
 def test_output_shape_is_fixed_regardless_of_level_sizes():
     rng = np.random.default_rng(0)
     ff = FeatureFusion("ff", rng, dtype=np.float64)
     for n_mid, n_coarse in [(6, 3), (12, 12), (2, 1)]:
-        out = ff(make_df(np.random.default_rng(1), 12, n_mid, n_coarse))
+        out = fuse(ff, *make_df(np.random.default_rng(1), 12, n_mid, n_coarse))
         assert out.shape == (12, 128)
 
 
 def test_all_zero_inputs_give_zero_output():
     rng = np.random.default_rng(2)
     ff = FeatureFusion("ff", rng, dtype=np.float64)
-    df = make_df(np.random.default_rng(3))
+    df, coords = make_df(np.random.default_rng(3))
     df.full = ad.Tensor(np.zeros((12, 128)))
     df.mid = ad.Tensor(np.zeros((6, 128)))
     df.coarse = ad.Tensor(np.zeros((3, 256)))
-    assert np.array_equal(ff(df).values, np.zeros((12, 128)))  # bias starts at zero
+    assert np.array_equal(fuse(ff, df, coords).values, np.zeros((12, 128)))  # bias starts at zero
 
 
 def test_coincident_levels_reduce_to_identity_interpolation():
@@ -42,9 +57,8 @@ def test_coincident_levels_reduce_to_identity_interpolation():
     full = rng.standard_normal((8, 128))
     mid = rng.standard_normal((8, 128))
     coarse = rng.standard_normal((8, 256))
-    df = DecoderFeatures(full=ad.Tensor(full), mid=ad.Tensor(mid), coarse=ad.Tensor(coarse),
-                         coords_full=coords, coords_mid=coords, coords_coarse=coords)
-    out = ff(df).values
+    df = DecoderFeatures(full=ad.Tensor(full), mid=ad.Tensor(mid), coarse=ad.Tensor(coarse))
+    out = fuse(ff, df, Coords(coords, coords, coords)).values
     expected = np.maximum(
         (np.concatenate([full, mid], axis=1) + coarse) @ ff.conv.weight.values, 0)
     assert np.allclose(out, expected, atol=1e-4)
@@ -53,8 +67,8 @@ def test_coincident_levels_reduce_to_identity_interpolation():
 def test_matches_straight_line_reimplementation():
     rng = np.random.default_rng(5)
     ff = FeatureFusion("ff", rng, dtype=np.float64)
-    df = make_df(np.random.default_rng(6), n_full=10, n_mid=5, n_coarse=4)
-    out = ff(df).values
+    df, coords = make_df(np.random.default_rng(6), n_full=10, n_mid=5, n_coarse=4)
+    out = fuse(ff, df, coords).values
 
     # independent re-composition: brute-force 3-NN, loops, then affine + relu
     def upsample(fine, coarse_coords, feats):
@@ -68,8 +82,8 @@ def test_matches_straight_line_reimplementation():
                 res[i] += wj * feats[j]
         return res
 
-    mid_up = upsample(df.coords_full, df.coords_mid, df.mid.values)
-    coarse_up = upsample(df.coords_full, df.coords_coarse, df.coarse.values)
+    mid_up = upsample(coords.full, coords.mid, df.mid.values)
+    coarse_up = upsample(coords.full, coords.coarse, df.coarse.values)
     pre = np.concatenate([df.full.values, mid_up], axis=1) + coarse_up
     expected = np.maximum(pre @ ff.conv.weight.values + ff.conv.bias.values, 0)
     assert np.allclose(out, expected, atol=1e-10)
@@ -78,17 +92,15 @@ def test_matches_straight_line_reimplementation():
 def test_gradient_reaches_all_three_inputs():
     rng = np.random.default_rng(7)
     ff = FeatureFusion("ff", rng, dtype=np.float64)
-    base = make_df(np.random.default_rng(8), n_full=6, n_mid=4, n_coarse=3)
+    base, coords = make_df(np.random.default_rng(8), n_full=6, n_mid=4, n_coarse=3)
     probe = rng.standard_normal((6, 128))
 
     def loss_with(full_v, mid_v, coarse_v, grads=False):
         df = DecoderFeatures(
             full=ad.Tensor(full_v, requires_grad=grads),
             mid=ad.Tensor(mid_v, requires_grad=grads),
-            coarse=ad.Tensor(coarse_v, requires_grad=grads),
-            coords_full=base.coords_full, coords_mid=base.coords_mid,
-            coords_coarse=base.coords_coarse)
-        return df, ad.reduce_sum(ad.mul(ff(df), ad.Tensor(probe)))
+            coarse=ad.Tensor(coarse_v, requires_grad=grads))
+        return df, ad.reduce_sum(ad.mul(fuse(ff, df, coords), ad.Tensor(probe)))
 
     f0, m0, c0 = base.full.values, base.mid.values, base.coarse.values
     df, loss = loss_with(f0, m0, c0, grads=True)

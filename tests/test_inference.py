@@ -350,6 +350,17 @@ def tiny_network():
     return SegmentationNetwork(spec, num_classes=3, embedding_dim=4, seed=0)
 
 
+def test_forward_with_cached_geometry_is_bitwise_equal():
+    # segment_scene lets forward compute the geometry; training passes a cached one
+    rng = np.random.default_rng(6)
+    feats = np.concatenate([rng.uniform(0, 1, (64, 6)), rng.uniform(0, 1, (64, 3))], axis=1)
+    net = tiny_network()
+    a = net.forward(feats)
+    b = net.forward(feats, net.compute_geometry(feats))
+    assert np.array_equal(a.logits.values, b.logits.values)
+    assert np.array_equal(a.embeddings.values, b.embeddings.values)
+
+
 def test_scene_without_instance_annotations_still_segments():
     # inference never reads ground-truth instance ids; the instance channel
     # comes purely from mean-shift clusters of the embeddings

@@ -213,8 +213,3 @@ def test_input_shape_validation():
     with pytest.raises(ad.DimensionError):
         head(ad.Tensor(np.zeros((4, 8))), ad.Tensor(np.zeros((4, 7))))
 
-
-def test_gate_axis_is_configurable():
-    head = make_head(seed=25, gate_mean_axis=0)
-    out = head(*inputs(seed=26))
-    assert out.ins_gate.shape == (1, 16)  # gate per channel instead of per point

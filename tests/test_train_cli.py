@@ -253,12 +253,52 @@ def test_cli_rejects_bad_clustering_settings_before_loading(tmp_path, capsys, li
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_rejects_non_finite_learning_rate(tmp_path, capsys, value):
-    lines = [l for l in tiny_config().to_kv_lines() if not l.startswith("learning_rate")]
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("\n".join(lines + [f"learning_rate = {value}"]) + "\n")
-    code = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
+    bad = config_with(tmp_path, [f"learning_rate = {value}"])
+    code = cli.main(["train", "--config", bad, "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_CONFIG
     assert "learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+def config_with(tmp_path, lines):
+    """A tiny config file whose keys named in ``lines`` take the given values."""
+    keys = {l.split("=")[0].strip() for l in lines}
+    kept = [l for l in tiny_config().to_kv_lines() if l.split(" = ")[0] not in keys]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(kept + lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("lines", [
+    ["npoints = 128,32"], ["widths = 64,128"], ["radii = 0.2,0.4"], ["nsamples = 16,16,16,16"],
+    ["nsamples = 0,16,16"], ["radii = 0.2,-0.4,0.8"], ["radii = 0.2,nan,0.8"],
+    ["radii = 0.2,0.4,inf"], ["widths = 64,0,256"],
+    ["npoints = 128,32,8", "points_per_block = 64"],
+    ["num_classes = 1"], ["embedding_dim = 0"],
+])
+def test_cli_rejects_bad_backbone_config_before_training(tmp_path, capsys, lines):
+    code = cli.main(["train", "--config", config_with(tmp_path, lines),
+                     "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_diverged_training_raises_and_writes_no_checkpoint(tmp_path):
+    with pytest.raises(ConfigError, match="non-finite loss at iteration 2"):
+        train(tiny_config(learning_rate=1e30), tmp_path / "run")
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+    # an overflowing last step leaves a finite loss but non-finite parameters
+    with pytest.raises(ConfigError, match="parameter .* is non-finite after iteration 1"):
+        train(tiny_config(learning_rate=1e39, iterations=1), tmp_path / "last")
+    assert not (tmp_path / "last" / "model.ckpt").exists()
+
+
+def test_cli_diverged_training_exits_with_config_error(tmp_path, capsys):
+    code = cli.main(["train", "--config", config_with(tmp_path, ["learning_rate = 1e30"]),
+                     "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_CONFIG
+    assert "iteration 2" in capsys.readouterr().err
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
