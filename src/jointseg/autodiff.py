@@ -3,8 +3,8 @@
 A small numpy-backed engine providing exactly the differentiable primitives
 the segmentation network needs: matrix products, per-point (kernel-size-1)
 convolutions, elementwise arithmetic with single-axis broadcasting, axis
-reductions, concatenation, row gather/scatter, grouped max pooling, weighted
-neighbor interpolation, and a fused softmax cross-entropy.
+reductions, concatenation, row gather/scatter, grouped max pooling and a
+fused softmax cross-entropy.
 
 Tensors are immutable after construction except for their ``grad`` buffers.
 Operations executed while recording is enabled (the default) build a dynamic
@@ -375,31 +375,6 @@ def rowmax_pool(x: Tensor, group_size: int) -> Tensor:
         accum(x, z.reshape(n, c))
 
     return _make(out, (x,), backprop)
-
-
-def interpolate(feats: Tensor, indices: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Weighted gather: out[i] = sum_j weights[i, j] * feats[indices[i, j]].
-
-    ``indices``/``weights`` are (N_fine, k) constants; gradients flow to
-    ``feats`` only.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    w = np.asarray(weights, dtype=feats.dtype)
-    if idx.ndim != 2 or w.shape != idx.shape:
-        raise DimensionError(f"index/weight shapes differ: {idx.shape} vs {w.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= feats.shape[0]):
-        raise DimensionError(f"neighbor index out of range for {feats.shape[0]} rows")
-    out = np.einsum("ijc,ij->ic", feats.values[idx], w)
-    shape = feats.shape
-    k = idx.shape[1]
-
-    def backprop(g, accum):
-        z = np.zeros(shape, dtype=g.dtype)
-        for j in range(k):
-            np.add.at(z, idx[:, j], g * w[:, j : j + 1])
-        accum(feats, z)
-
-    return _make(out, (feats,), backprop)
 
 
 def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor, activation: str = "relu") -> Tensor:

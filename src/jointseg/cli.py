@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig, load_config
 from .data import SceneFormatError, SceneGenerationError, generate_scene, load_scene, save_scene
 from .inference import segment_scene
 from .metrics import evaluate
-from .train import grad_check, load_network, synthetic_spec, train
+from .train import grad_check, load_network, train
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -40,7 +40,7 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(cfg.num_scenes):
-        scene = generate_scene(synthetic_spec(cfg, i))
+        scene = generate_scene(cfg.scene_spec(i))
         path = out / f"scene_{i:03d}.scene"
         save_scene(path, scene)
         print(f"wrote {path} ({scene.num_points} points, "

@@ -8,8 +8,11 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .backbone import LayerSpec
+from .data import SyntheticSceneSpec
 from .inference import MeanShiftConfig
 from .losses import LossConfig
+
+_SCENE_SEED_STRIDE = 100003  # keeps per-scene seeds distinct across nearby run seeds
 
 
 class ConfigError(ValueError):
@@ -79,6 +82,8 @@ class RunConfig:
     random_sample: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -87,8 +92,8 @@ class RunConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if not self.delta_d > self.delta_v > 0:
-            raise ConfigError(f"need delta_d > delta_v > 0, got {self.delta_v}, {self.delta_d}")
+        if not (self.block_size > 0 and self.stride > 0):
+            raise ConfigError(f"block_size and stride must be positive, got {self.block_size}, {self.stride}")
         if self.voxel_divisions < 1:
             raise ConfigError(f"voxel_divisions must be >= 1, got {self.voxel_divisions}")
         if not 0 < self.overlap_threshold <= 1:
@@ -97,6 +102,14 @@ class RunConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
+        try:
+            self.scene_spec(0)
+        except ValueError as e:
+            raise ConfigError(f"synthetic data (room_extent, instances, points per instance): {e}") from e
+        try:
+            self.loss_config()
+        except ValueError as e:
+            raise ConfigError(f"loss (delta_v, delta_d): {e}") from e
         try:
             self.mean_shift_config()
         except ValueError as e:
@@ -107,6 +120,17 @@ class RunConfig:
             raise ConfigError(f"backbone (npoints, widths, radii, nsamples): {e}") from e
         if self.npoints[0] > self.points_per_block:
             raise ConfigError(f"npoints[0] = {self.npoints[0]} exceeds points_per_block")
+
+    def scene_spec(self, index: int) -> SyntheticSceneSpec:
+        """The synthetic scene ``index`` of this run."""
+        return SyntheticSceneSpec(
+            seed=self.seed * _SCENE_SEED_STRIDE + index,
+            room_extent=self.room_extent,
+            num_classes=self.num_classes,
+            instance_range=(self.min_instances, self.max_instances),
+            points_per_instance=(self.min_points_per_instance, self.max_points_per_instance),
+            noise_std=self.noise_std,
+        )
 
     def layer_spec(self) -> LayerSpec:
         return LayerSpec(npoints=self.npoints, widths=self.widths, radii=self.radii,

@@ -9,6 +9,7 @@ feed the network.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -87,6 +88,9 @@ class SyntheticSceneSpec:
     noise_std: float = 0.005
 
     def __post_init__(self):
+        ext = self.room_extent
+        if len(ext) != 3 or not all(math.isfinite(e) and e > 0 for e in ext):
+            raise ValueError(f"room_extent needs three positive, finite values, got {ext}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.instance_range[0] < 1 or self.instance_range[0] > self.instance_range[1]:

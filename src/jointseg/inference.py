@@ -48,7 +48,6 @@ class MeanShiftConfig:
     bandwidth: float = 0.6
     max_iter: int = 300
     tol: float = 1e-4
-    merge_radius: float | None = None  # defaults to bandwidth / 2
 
     def __post_init__(self):
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
@@ -57,12 +56,6 @@ class MeanShiftConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.merge_radius is not None and not self.merge_radius > 0:
-            raise ValueError(f"merge_radius must be positive, got {self.merge_radius}")
-
-    @property
-    def effective_merge_radius(self) -> float:
-        return self.bandwidth / 2 if self.merge_radius is None else self.merge_radius
 
 
 class _Window:
@@ -144,7 +137,7 @@ def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np
     support = np.concatenate([window(uniq[s:s + _CHUNK]).sum(axis=1)
                               for s in range(0, len(uniq), _CHUNK)])
     order = np.lexsort((first, -support))  # support desc, seed index asc
-    merge_r = cfg.effective_merge_radius
+    merge_r = cfg.bandwidth / 2
     kept: list[int] = []
     for i in order:
         # only kept modes this close can fail the norm test; the margin is far

@@ -4,13 +4,15 @@ embedding loss.
 The discriminative term is a sum of two hinged penalties over per-instance
 mean embeddings: a pull term drawing every embedding to within ``delta_v``
 (L1) of its instance mean, and a push term keeping distinct instance means at
-least ``2 * delta_d`` apart, normalized over ordered pairs. The total training
-loss is the unweighted sum of the cross-entropy and discriminative terms.
+least ``2 * delta_d`` apart, normalized over ordered pairs. It is built as one
+graph whose size does not depend on the number of instances. The total
+training loss is the unweighted sum of the cross-entropy and discriminative
+terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -30,18 +32,25 @@ class LossConfig:
 
 @dataclass
 class InstanceGrouping:
-    """Per-instance member index lists over the annotated points."""
+    """Per-instance member index lists over the annotated points.
+
+    ``indices`` holds every member in instance order and ``owner`` the
+    instance of each entry of ``indices``.
+    """
 
     members: list[np.ndarray]
+    indices: np.ndarray = field(init=False, repr=False)
+    owner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.members = [np.asarray(m, dtype=np.int64) for m in self.members]
         for i, m in enumerate(self.members):
             if m.size == 0:
                 raise ValueError(f"instance {i} has an empty member list")
-        flat = np.concatenate(self.members) if self.members else np.empty(0, np.int64)
-        if flat.size != np.unique(flat).size:
+        self.indices = np.concatenate(self.members) if self.members else np.empty(0, np.int64)
+        if self.indices.size != np.unique(self.indices).size:
             raise ValueError("instance member lists overlap")
+        self.owner = np.repeat(np.arange(len(self.members)), [m.size for m in self.members])
 
     @property
     def num_instances(self) -> int:
@@ -61,58 +70,47 @@ class DiscriminativeLossTerms(NamedTuple):
     push: ad.Tensor
 
 
-def _hinge_squared_mean(dist: ad.Tensor, margin: float, above: bool) -> ad.Tensor:
-    """Mean over rows of a squared hinge on an (N, 1) distance column.
-
-    ``above=True`` penalizes distances above the margin (pull), ``False``
-    penalizes the shortfall below it (push, margin - dist).
-    """
-    gap = ad.add_scalar(dist, -margin) if above else ad.neg(ad.add_scalar(dist, -margin))
-    h = ad.relu(gap)
-    return ad.reduce_mean(ad.mul(h, h), axis=0)
-
-
 def discriminative_loss(embeddings: ad.Tensor, grouping: InstanceGrouping,
                         cfg: LossConfig) -> DiscriminativeLossTerms:
     """Pull/push embedding loss over the given instance grouping.
 
     Pull averages the per-point squared hinge within each instance and then
     over instances; push averages squared hinges over ordered pairs of
-    distinct instance means (zero for a single instance). All distances are
-    L1.
+    distinct instance means (zero for a single instance), which equals the
+    mean over unordered pairs. All distances are L1.
+
+    The graph has the same nodes for any number of instances above one: the
+    means are one product of a constant (m, N_a) averaging matrix with the
+    N_a annotated rows, pull is one product of a constant row of weights
+    1 / (m * N_i) with the per-point squared hinges, and push is one mean
+    over the m(m-1)/2 gathered pairs of means.
     """
-    if grouping.num_instances < 1:
-        raise ValueError("grouping must contain at least one instance")
     m = grouping.num_instances
+    if m < 1:
+        raise ValueError("grouping must contain at least one instance")
     dtype = embeddings.dtype
+    owner = grouping.owner
+    n_a = owner.size
+    sizes = np.bincount(owner, minlength=m)
 
-    means: list[ad.Tensor] = []
-    pull_terms: list[ad.Tensor] = []
-    for idx in grouping.members:
-        inst = ad.gather_rows(embeddings, idx)                 # (N_m, K)
-        mu = ad.reduce_mean(inst, axis=0)                      # (1, K)
-        means.append(mu)
-        dist = ad.reduce_sum(ad.absolute(ad.sub(mu, inst)), axis=1)  # (N_m, 1)
-        pull_terms.append(_hinge_squared_mean(dist, cfg.delta_v, above=True))
+    points = ad.gather_rows(embeddings, grouping.indices)      # (N_a, K)
+    averaging = np.zeros((m, n_a), dtype=dtype)
+    averaging[owner, np.arange(n_a)] = 1.0 / sizes[owner]
+    means = ad.matmul(ad.Tensor(averaging), points)            # (m, K)
 
-    pull = pull_terms[0]
-    for t in pull_terms[1:]:
-        pull = ad.add(pull, t)
-    pull = ad.mul_scalar(pull, 1.0 / m)
+    dist = ad.reduce_sum(ad.absolute(ad.sub(ad.gather_rows(means, owner), points)), axis=1)
+    h = ad.relu(ad.add_scalar(dist, -cfg.delta_v))
+    weights = (1.0 / (m * sizes[owner]))[None, :].astype(dtype)  # (1, N_a)
+    pull = ad.matmul(ad.Tensor(weights), ad.mul(h, h))
 
     if m == 1:
         push = ad.Tensor(np.zeros((1, 1), dtype=dtype))
     else:
-        # ordered pairs (i, j), i != j; each unordered pair contributes twice
-        pair_terms = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                dist = ad.reduce_sum(ad.absolute(ad.sub(means[i], means[j])), axis=1)
-                pair_terms.append(_hinge_squared_mean(dist, 2 * cfg.delta_d, above=False))
-        push = pair_terms[0]
-        for t in pair_terms[1:]:
-            push = ad.add(push, t)
-        push = ad.mul_scalar(push, 2.0 / (m * (m - 1)))
+        first, second = np.triu_indices(m, 1)
+        gap = ad.sub(ad.gather_rows(means, first), ad.gather_rows(means, second))
+        dist = ad.reduce_sum(ad.absolute(gap), axis=1)         # (m(m-1)/2, 1)
+        h = ad.relu(ad.neg(ad.add_scalar(dist, -2 * cfg.delta_d)))
+        push = ad.reduce_mean(ad.mul(h, h), axis=0)
 
     return DiscriminativeLossTerms(total=ad.add(pull, push), pull=pull, push=push)
 

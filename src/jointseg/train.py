@@ -13,24 +13,10 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
-from .data import Scene, SyntheticSceneSpec, generate_scene, load_scene, split_into_blocks
+from .data import Scene, generate_scene, load_scene, split_into_blocks
 from .losses import InstanceGrouping, total_loss
 from .network import SegmentationNetwork
 from .optim import Adam
-
-_SCENE_SEED_STRIDE = 100003  # keeps per-scene seeds distinct across nearby run seeds
-
-
-def synthetic_spec(cfg: RunConfig, index: int) -> SyntheticSceneSpec:
-    return SyntheticSceneSpec(
-        seed=cfg.seed * _SCENE_SEED_STRIDE + index,
-        room_extent=cfg.room_extent,
-        num_classes=cfg.num_classes,
-        instance_range=(cfg.min_instances, cfg.max_instances),
-        points_per_instance=(cfg.min_points_per_instance, cfg.max_points_per_instance),
-        noise_std=cfg.noise_std,
-    )
-
 
 def load_scenes(cfg: RunConfig) -> list[Scene]:
     """Scenes from ``data_dir`` if configured, otherwise generated inline."""
@@ -39,7 +25,7 @@ def load_scenes(cfg: RunConfig) -> list[Scene]:
         if not paths:
             raise ConfigError(f"no scene files found in {cfg.data_dir!r}")
         return [load_scene(p) for p in paths]
-    return [generate_scene(synthetic_spec(cfg, i)) for i in range(cfg.num_scenes)]
+    return [generate_scene(cfg.scene_spec(i)) for i in range(cfg.num_scenes)]
 
 
 def split_scenes(scenes: list[Scene], cfg: RunConfig, rng: np.random.Generator):
@@ -247,7 +233,7 @@ def grad_check(cfg: RunConfig | None = None, entries_per_param: int = 3,
     cfg = grad_check_config(cfg)
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    scene = generate_scene(synthetic_spec(cfg, 0))
+    scene = generate_scene(cfg.scene_spec(0))
     network = build_network(cfg)
     prepared = PreparedBlock(split_scenes([scene], cfg, rng)[0], network)
 

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from jointseg import autodiff as ad
 from jointseg.data import Scene
 from jointseg.inference import BlockPrediction, SceneSegmentation
+from jointseg.losses import DiscriminativeLossTerms, InstanceGrouping, LossConfig
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -149,7 +151,7 @@ def mean_shift_dense(points: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:
 
     support = (((modes[:, None, :] - pts[None, :, :]) ** 2).sum(-1) <= bw2).sum(axis=1)
     order = np.lexsort((np.arange(n), -support))  # support desc, seed index asc
-    merge_r = cfg.effective_merge_radius
+    merge_r = cfg.bandwidth / 2
     kept: list[int] = []
     for i in order:
         if all(np.linalg.norm(modes[i] - modes[j]) > merge_r for j in kept):
@@ -255,3 +257,63 @@ def block_merging_loop(predictions: list[BlockPrediction], scene: Scene, num_cla
         instance[i] = remap[g]
     return SceneSegmentation(semantic=semantic, instance=instance,
                              num_instances=len(remap), uncovered_points=uncovered)
+
+
+# ---------------------------------------------------------------------------
+# per-instance discriminative loss reference
+
+def _hinge_squared_mean(dist: ad.Tensor, margin: float, above: bool) -> ad.Tensor:
+    """Mean over rows of a squared hinge on an (N, 1) distance column.
+
+    ``above=True`` penalizes distances above the margin (pull), ``False``
+    penalizes the shortfall below it (push, margin - dist).
+    """
+    gap = ad.add_scalar(dist, -margin) if above else ad.neg(ad.add_scalar(dist, -margin))
+    h = ad.relu(gap)
+    return ad.reduce_mean(ad.mul(h, h), axis=0)
+
+
+def discriminative_loss_loop(embeddings: ad.Tensor, grouping: InstanceGrouping,
+                             cfg: LossConfig) -> DiscriminativeLossTerms:
+    """Pull/push embedding loss with one subgraph per instance and one per
+    unordered pair of instances, summed in Python.
+
+    Pull averages the per-point squared hinge within each instance and then
+    over instances; push averages squared hinges over ordered pairs of
+    distinct instance means (zero for a single instance). All distances are
+    L1.
+    """
+    if grouping.num_instances < 1:
+        raise ValueError("grouping must contain at least one instance")
+    m = grouping.num_instances
+    dtype = embeddings.dtype
+
+    means: list[ad.Tensor] = []
+    pull_terms: list[ad.Tensor] = []
+    for idx in grouping.members:
+        inst = ad.gather_rows(embeddings, idx)                 # (N_m, K)
+        mu = ad.reduce_mean(inst, axis=0)                      # (1, K)
+        means.append(mu)
+        dist = ad.reduce_sum(ad.absolute(ad.sub(mu, inst)), axis=1)  # (N_m, 1)
+        pull_terms.append(_hinge_squared_mean(dist, cfg.delta_v, above=True))
+
+    pull = pull_terms[0]
+    for t in pull_terms[1:]:
+        pull = ad.add(pull, t)
+    pull = ad.mul_scalar(pull, 1.0 / m)
+
+    if m == 1:
+        push = ad.Tensor(np.zeros((1, 1), dtype=dtype))
+    else:
+        # ordered pairs (i, j), i != j; each unordered pair contributes twice
+        pair_terms = []
+        for i in range(m):
+            for j in range(i + 1, m):
+                dist = ad.reduce_sum(ad.absolute(ad.sub(means[i], means[j])), axis=1)
+                pair_terms.append(_hinge_squared_mean(dist, 2 * cfg.delta_d, above=False))
+        push = pair_terms[0]
+        for t in pair_terms[1:]:
+            push = ad.add(push, t)
+        push = ad.mul_scalar(push, 2.0 / (m * (m - 1)))
+
+    return DiscriminativeLossTerms(total=ad.add(pull, push), pull=pull, push=push)

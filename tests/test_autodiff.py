@@ -282,8 +282,6 @@ PRIMITIVES = {
     "concat_left": lambda x: ad.concat(x, ad.Tensor(_const((4, 2), 17))),
     "gather": lambda x: ad.gather_rows(x, np.array([2, 0, 0, 3, 1])),
     "rowmax": lambda x: ad.rowmax_pool(x, 2),
-    "interpolate": lambda x: ad.interpolate(
-        x, np.array([[0, 1], [2, 3], [1, 2]]), np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])),
     "conv_relu": lambda x: ad.pointwise_conv(
         x, ad.Tensor(_const((3, 2), 18)), ad.Tensor(_const((1, 2), 19)), "relu"),
 }

@@ -93,7 +93,7 @@ def test_bandwidth_must_be_positive():
 @pytest.mark.parametrize("kwargs", [
     dict(bandwidth=-1.0), dict(bandwidth=float("nan")), dict(bandwidth=float("inf")),
     dict(max_iter=0), dict(tol=0.0), dict(tol=-1e-4), dict(tol=float("nan")),
-    dict(tol=float("inf")), dict(merge_radius=0.0), dict(merge_radius=-0.3),
+    dict(tol=float("inf")),
 ])
 def test_config_rejects_bad_settings(kwargs):
     with pytest.raises(ValueError):

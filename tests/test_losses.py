@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from jointseg import autodiff as ad
+from jointseg.config import RunConfig
+from jointseg.data import generate_scene
 from jointseg.losses import InstanceGrouping, LossConfig, discriminative_loss, total_loss
-from oracles import fd_grad, max_rel_err
+from jointseg.train import PreparedBlock, _block_loss, build_network, split_scenes
+from oracles import discriminative_loss_loop, fd_grad, max_rel_err
 
 CFG = LossConfig(delta_v=0.5, delta_d=1.5)
 
@@ -102,6 +105,88 @@ def test_unannotated_points_excluded_from_embedding_loss():
     a = discriminative_loss(ad.Tensor(emb_v), kept, CFG)
     b = discriminative_loss(ad.Tensor(emb_v), manual, CFG)
     assert abs(a.total.item() - b.total.item()) < 1e-12
+
+
+def rel_diff(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+def clutter_case(seed, m, n=40, k=5):
+    """Random float64 embeddings over m instances plus unannotated (-1)
+    points, spread so that some hinges of either term are active and some
+    are not."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(-1, m, n)
+    ids[:m] = np.arange(m)  # every instance non-empty
+    centers = rng.uniform(0, 1.5, (m, k))
+    return centers[ids] + 0.3 * rng.standard_normal((n, k)), ids
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_loss_matches_per_instance_loop(m):
+    for seed in range(3):
+        emb_v, ids = clutter_case(100 * m + seed, m)
+        grouping = InstanceGrouping.from_labels(ids)
+        emb_a = ad.Tensor(emb_v, requires_grad=True)
+        emb_b = ad.Tensor(emb_v, requires_grad=True)
+        new = discriminative_loss(emb_a, grouping, CFG)
+        old = discriminative_loss_loop(emb_b, grouping, CFG)
+        for a, b in zip(new, old):
+            assert a.shape == b.shape == (1, 1)
+            assert abs(a.item() - b.item()) <= 1e-12 * max(abs(b.item()), 1e-300)
+        ad.backward(new.total)
+        ad.backward(old.total)
+        assert rel_diff(emb_a.grad, emb_b.grad) <= 1e-10
+        assert not emb_a.grad[ids < 0].any()
+
+
+def test_loss_graph_size_does_not_depend_on_instance_count():
+    counts = set()
+    for m in range(2, 9):
+        emb_v, ids = clutter_case(m, m, n=512)
+        emb = ad.Tensor(emb_v, requires_grad=True)
+        counts.add(len(ad.graph_nodes(
+            discriminative_loss(emb, InstanceGrouping.from_labels(ids), CFG).total)))
+    assert len(counts) == 1
+
+
+def default_blocks(cfg, count):
+    """The first ``count`` training blocks of ``cfg``, as train() prepares them."""
+    rng = np.random.default_rng(cfg.seed)
+    network = build_network(cfg)
+    # a scene gives at least one block, so the first ``count`` scenes suffice
+    scenes = [generate_scene(cfg.scene_spec(i)) for i in range(count)]
+    blocks = split_scenes(scenes, cfg, rng)
+    return network, [PreparedBlock(b, network) for b in blocks[:count]]
+
+
+def test_graph_nodes_per_default_training_block():
+    # the tracked size of one training graph; a change that grows it
+    # updates this bound on purpose
+    cfg = RunConfig()
+    network, (prepared,) = default_blocks(cfg, 1)
+    assert len(ad.graph_nodes(_block_loss(network, prepared, cfg))) <= 174
+
+
+def test_parameter_gradients_match_per_instance_loop():
+    cfg = RunConfig(dtype="float64")
+    network, prepared = default_blocks(cfg, 6)
+    for p in prepared:
+        grads = []
+        for loss_fn in (discriminative_loss, discriminative_loss_loop):
+            network.zero_grad()
+            out = network.forward(p.block.features, p.geometry)
+            loss = ad.add(ad.softmax_cross_entropy(out.logits, p.block.semantic_labels),
+                          loss_fn(out.embeddings, p.grouping, cfg.loss_config()).total)
+            ad.backward(loss)
+            grads.append({q.name: q.grad.copy() for q in network.parameters()})
+        new, old = grads
+        for name, g in old.items():
+            if name == "joint.ins_head2.bias":
+                # analytically zero (the loss is translation-invariant): rounding only
+                assert np.abs(new[name] - g).max() <= 1e-12
+            else:
+                assert rel_diff(new[name], g) <= 1e-10, name
 
 
 def test_grouping_validation():

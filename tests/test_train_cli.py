@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointseg import autodiff as ad
 from jointseg import cli
@@ -275,6 +277,11 @@ def config_with(tmp_path, lines):
     ["radii = 0.2,0.4,inf"], ["widths = 64,0,256"],
     ["npoints = 128,32,8", "points_per_block = 64"],
     ["num_classes = 1"], ["embedding_dim = 0"],
+    # synthetic data, block splitting, loss margins and seed
+    ["stride = 0", "room_extent = 2,2,0.8"], ["stride = -0.5"], ["block_size = 0"],
+    ["block_size = nan"], ["room_extent = 1,1"], ["room_extent = 1,1,-1"],
+    ["room_extent = 1,inf,0.8"], ["min_instances = 5", "max_instances = 2"],
+    ["min_points_per_instance = 0"], ["delta_v = 2"], ["seed = -1"],
 ])
 def test_cli_rejects_bad_backbone_config_before_training(tmp_path, capsys, lines):
     code = cli.main(["train", "--config", config_with(tmp_path, lines),
@@ -282,6 +289,50 @@ def test_cli_rejects_bad_backbone_config_before_training(tmp_path, capsys, lines
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "nan", "inf", "1e400", "true", "float64", "1,1", "3,2,1", "", ","]),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+def _typed_values(default):
+    """Value text of the field's own type, most of it in or near range."""
+    if isinstance(default, bool):
+        return st.sampled_from(["true", "false", "on", "0"])
+    if isinstance(default, int):
+        return st.integers(-2, 600).map(str)
+    if isinstance(default, float):
+        return st.floats(-1, 3).map(repr) | st.floats().map(repr)
+    if isinstance(default, tuple):
+        item = st.floats(-1, 3) if isinstance(default[0], float) else st.integers(-2, 600)
+        return st.lists(item, min_size=2, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+    return st.sampled_from(["float32", "float64", "", "x"])
+
+
+_FIELD_LINES = st.one_of([
+    st.tuples(st.just(f.name), _typed_values(f.default) | _VALUES)
+    for f in dataclasses.fields(RunConfig)
+]).map(lambda kv: f"{kv[0]} = {kv[1]}")
+_JUNK_LINES = st.one_of(
+    st.tuples(st.text(max_size=10), _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=20),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.lists(_FIELD_LINES, max_size=6), st.lists(_JUNK_LINES, max_size=1),
+       st.randoms(use_true_random=False))
+def test_config_text_parses_or_raises_config_error(fields, junk, random):
+    lines = fields + junk
+    random.shuffle(lines)
+    try:
+        cfg = parse_config_text("\n".join(lines))
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_diverged_training_raises_and_writes_no_checkpoint(tmp_path):
