@@ -10,7 +10,10 @@ connections, each exposing its last three layer outputs for feature fusion.
 
 All point selections and interpolation weights depend only on coordinates,
 never on parameters, so they are precomputed into a ``BlockGeometry`` that a
-training loop can cache across iterations.
+training loop can cache across iterations. The selections are exact, with
+distance ties going to the lowest point index as under a stable sort, yet no
+row of distances is fully sorted (see ``ball_group`` and
+``nearest_neighbor_interpolation``).
 """
 
 from __future__ import annotations
@@ -66,6 +69,23 @@ class DecoderFeatures:
 # ---------------------------------------------------------------------------
 # geometric primitives (pure numpy; selections are constants to the graph)
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between two (., 3) point sets.
+
+    Squares are summed axis by axis as ``(dx² + dy²) + dz²``, the order of
+    ``np.linalg.norm(a[:, None] - b[None], axis=2)``, so the two are equal bit
+    for bit, without that expression's (len(a), len(b), 3) temporary.
+    """
+    d = np.subtract.outer(a[:, 0], b[:, 0])
+    d *= d
+    t = np.empty_like(d)
+    for axis in (1, 2):
+        np.subtract.outer(a[:, axis], b[:, axis], out=t)
+        t *= t
+        d += t
+    return np.sqrt(d, out=d)
+
+
 def farthest_point_sampling(coords: np.ndarray, m: int) -> np.ndarray:
     """Indices of m points chosen by iterative farthest-point selection.
 
@@ -78,11 +98,11 @@ def farthest_point_sampling(coords: np.ndarray, m: int) -> np.ndarray:
         raise ValueError(f"cannot sample {m} points from {n}")
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = 0
-    dists = np.linalg.norm(coords - coords[0], axis=1)
+    dists = _distances(coords[:1], coords)[0]
     for i in range(1, m):
         nxt = int(np.argmax(dists))  # first max = lowest index on ties
         chosen[i] = nxt
-        dists = np.minimum(dists, np.linalg.norm(coords - coords[nxt], axis=1))
+        np.minimum(dists, _distances(coords[nxt:nxt + 1], coords)[0], out=dists)
     return chosen
 
 
@@ -92,22 +112,33 @@ def ball_group(coords: np.ndarray, centers: np.ndarray, radius: float,
 
     Candidates are ordered by (distance, index); the center itself (distance
     zero when centers are drawn from ``coords``) is always included, and any
-    deficit is padded by repeating the first neighbor.
+    deficit is padded by repeating the first neighbor. A center with no point
+    in range takes its nearest point (lowest index on ties) for every slot.
+
+    No row is fully sorted: a partition finds each row's
+    ``max_neighbors``-th smallest distance, and only the in-range points no
+    farther than it, ties included, are sorted by (row, distance, index).
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     coords = np.asarray(coords, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    d = np.linalg.norm(centers[:, None, :] - coords[None, :, :], axis=2)  # (m, N)
-    order = np.argsort(d, axis=1, kind="stable")  # stable => index breaks ties
-    out = np.empty((centers.shape[0], max_neighbors), dtype=np.int64)
-    for i in range(centers.shape[0]):
-        cand = order[i][d[i, order[i]] <= radius]
-        if cand.size == 0:
-            cand = order[i][:1]  # isolated center off the point set: nearest point
-        take = cand[:max_neighbors]
-        out[i, : take.size] = take
-        out[i, take.size:] = take[0]
+    m, n = centers.shape[0], coords.shape[0]
+    d = _distances(centers, coords)  # (m, N)
+    k = min(max_neighbors, n)
+    part = np.partition(d, k - 1, axis=1)[:, :k]  # each row's k smallest, kth last
+    nearest, kth = part.min(axis=1), part[:, -1]
+    isolated = nearest > radius
+    bound = np.where(isolated, nearest, np.minimum(kth, radius))
+    rows, cols = np.divmod(np.flatnonzero(d <= bound[:, None]), n)  # rows ascending
+    order = np.lexsort((cols, d[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    found = np.bincount(rows, minlength=m)  # >= 1: the nearest point is within bound
+    start = np.cumsum(found) - found
+    rank = np.arange(rows.size) - np.repeat(start, found)
+    keep = rank < np.where(isolated, 1, max_neighbors)[rows]
+    out = np.repeat(cols[start][:, None], max_neighbors, axis=1)  # padded with the first
+    out[rows[keep], rank[keep]] = cols[keep]
     return out
 
 
@@ -129,15 +160,25 @@ def nearest_neighbor_interpolation(fine_coords: np.ndarray, coarse_coords: np.nd
                                    k: int = 3, eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Indices and normalized inverse-square-distance weights of the k nearest
     coarse points for every fine point. Distance ties resolve to the lowest
-    coarse index; weights form a convex combination."""
+    coarse index; weights form a convex combination.
+
+    The neighbors come from k ``argmin`` passes, each masking the previous
+    pick with ``inf``; ``argmin`` returns the first minimum, so the picks
+    equal the first k columns of a stable sort.
+    """
     fine = np.asarray(fine_coords, dtype=np.float64)
     coarse = np.asarray(coarse_coords, dtype=np.float64)
     if coarse.shape[0] == 0:
         raise ValueError("no coarse points to interpolate from")
     k = min(k, coarse.shape[0])
-    d = np.linalg.norm(fine[:, None, :] - coarse[None, :, :], axis=2)
-    order = np.argsort(d, axis=1, kind="stable")[:, :k]
-    nd = np.take_along_axis(d, order, axis=1)
+    d = _distances(fine, coarse)
+    rows = np.arange(fine.shape[0])
+    order = np.empty((fine.shape[0], k), dtype=np.int64)
+    nd = np.empty((fine.shape[0], k))
+    for j in range(k):
+        order[:, j] = pick = d.argmin(axis=1)
+        nd[:, j] = d[rows, pick]
+        d[rows, pick] = np.inf
     w = 1.0 / (nd ** 2 + eps)
     w = w / w.sum(axis=1, keepdims=True)
     return order, w

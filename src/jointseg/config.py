@@ -102,10 +102,12 @@ class RunConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
+        if not 0 < self.val_fraction < 1:  # false for nan as well
+            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         try:
             self.scene_spec(0)
         except ValueError as e:
-            raise ConfigError(f"synthetic data (room_extent, instances, points per instance): {e}") from e
+            raise ConfigError(f"synthetic data (room_extent, instances, points per instance, noise_std): {e}") from e
         try:
             self.loss_config()
         except ValueError as e:

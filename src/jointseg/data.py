@@ -97,6 +97,8 @@ class SyntheticSceneSpec:
             raise ValueError(f"bad instance_range {self.instance_range}")
         if self.points_per_instance[0] < 1 or self.points_per_instance[0] > self.points_per_instance[1]:
             raise ValueError(f"bad points_per_instance {self.points_per_instance}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 _PALETTE = np.array([

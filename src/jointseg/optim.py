@@ -49,16 +49,3 @@ class Adam:
             v += (1 - b2) * g * g
             update = (lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(p.values.dtype)
             p.tensor.values = p.values - update
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name in self.m:
-            out[f"m/{name}"] = self.m[name]
-            out[f"v/{name}"] = self.v[name]
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray], t: int) -> None:
-        for name in self.m:
-            self.m[name] = np.array(arrays[f"m/{name}"], dtype=self.m[name].dtype)
-            self.v[name] = np.array(arrays[f"v/{name}"], dtype=self.v[name].dtype)
-        self.t = t

@@ -82,7 +82,9 @@ def train(cfg: RunConfig, out_dir) -> TrainResult:
 
     Deterministic given (config, seed): all randomness flows from one
     generator consumed in a fixed order. A run whose loss or parameters turn
-    non-finite raises ``ConfigError`` and writes no checkpoint.
+    non-finite raises ``ConfigError`` and writes no checkpoint. The checkpoint
+    holds the parameters and an empty optimizer map, since nothing resumes
+    from the Adam moments.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,7 +159,7 @@ def train(cfg: RunConfig, out_dir) -> TrainResult:
     ckpt_path = out / "model.ckpt"
     save_checkpoint(ckpt_path,
                     {p.name: p.values for p in network.parameters()},
-                    adam.state_arrays(), iterations_run, adam.t,
+                    {}, iterations_run, adam.t,
                     cfg.digest(), cfg.model_digest())
     trace_path = out / "loss_trace.txt"
     with open(trace_path, "w") as f:

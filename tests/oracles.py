@@ -317,3 +317,72 @@ def discriminative_loss_loop(embeddings: ad.Tensor, grouping: InstanceGrouping,
         push = ad.mul_scalar(push, 2.0 / (m * (m - 1)))
 
     return DiscriminativeLossTerms(total=ad.add(pull, push), pull=pull, push=push)
+
+
+# ---------------------------------------------------------------------------
+# sort-based block geometry reference
+#
+# Norms over (m, N, 3) difference tensors, full stable argsorts and one
+# Python iteration per center; jointseg.backbone must equal these bit for bit.
+
+def farthest_point_sampling_norm(coords: np.ndarray, m: int) -> np.ndarray:
+    """Indices of m points chosen by iterative farthest-point selection.
+
+    The first pick is index 0 and distance ties resolve to the lowest index,
+    so the result is deterministic.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    n = coords.shape[0]
+    if m > n:
+        raise ValueError(f"cannot sample {m} points from {n}")
+    chosen = np.empty(m, dtype=np.int64)
+    chosen[0] = 0
+    dists = np.linalg.norm(coords - coords[0], axis=1)
+    for i in range(1, m):
+        nxt = int(np.argmax(dists))  # first max = lowest index on ties
+        chosen[i] = nxt
+        dists = np.minimum(dists, np.linalg.norm(coords - coords[nxt], axis=1))
+    return chosen
+
+
+def ball_group_sorted(coords: np.ndarray, centers: np.ndarray, radius: float,
+                      max_neighbors: int) -> np.ndarray:
+    """Per center, up to ``max_neighbors`` point indices within ``radius``.
+
+    Candidates are ordered by (distance, index); the center itself (distance
+    zero when centers are drawn from ``coords``) is always included, and any
+    deficit is padded by repeating the first neighbor.
+    """
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    coords = np.asarray(coords, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    d = np.linalg.norm(centers[:, None, :] - coords[None, :, :], axis=2)  # (m, N)
+    order = np.argsort(d, axis=1, kind="stable")  # stable => index breaks ties
+    out = np.empty((centers.shape[0], max_neighbors), dtype=np.int64)
+    for i in range(centers.shape[0]):
+        cand = order[i][d[i, order[i]] <= radius]
+        if cand.size == 0:
+            cand = order[i][:1]  # isolated center off the point set: nearest point
+        take = cand[:max_neighbors]
+        out[i, : take.size] = take
+        out[i, take.size:] = take[0]
+    return out
+
+
+def nearest_neighbor_interpolation_sorted(fine_coords: np.ndarray, coarse_coords: np.ndarray,
+                                          k: int = 3, eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and normalized inverse-square-distance weights of the k nearest
+    coarse points for every fine point. Distance ties resolve to the lowest
+    coarse index; weights form a convex combination."""
+    fine = np.asarray(fine_coords, dtype=np.float64)
+    coarse = np.asarray(coarse_coords, dtype=np.float64)
+    if coarse.shape[0] == 0:
+        raise ValueError("no coarse points to interpolate from")
+    k = min(k, coarse.shape[0])
+    d = np.linalg.norm(fine[:, None, :] - coarse[None, :, :], axis=2)
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    nd = np.take_along_axis(d, order, axis=1)
+    w = 1.0 / (nd ** 2 + eps)
+    w = w / w.sum(axis=1, keepdims=True)
+    return order, w

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from jointseg import autodiff as ad
+from jointseg import backbone
 from jointseg.backbone import (Backbone, FeaturePropagation, LayerSpec, SetAbstraction,
-                               ball_group, farthest_point_sampling, interpolation_matrix,
-                               nearest_neighbor_interpolation)
-from oracles import fd_grad, max_rel_err
+                               _distances, ball_group, farthest_point_sampling,
+                               interpolation_matrix, nearest_neighbor_interpolation)
+from oracles import (ball_group_sorted, farthest_point_sampling_norm, fd_grad, max_rel_err,
+                     nearest_neighbor_interpolation_sorted)
 
 
 def tiny_spec():
@@ -137,6 +141,121 @@ def test_interpolation_fewer_than_three_coarse_points():
     idx, w = nearest_neighbor_interpolation(np.zeros((4, 3)), np.array([[1.0, 0, 0], [2.0, 0, 0]]))
     assert idx.shape == (4, 2)
     assert np.allclose(w.sum(axis=1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# exact geometry against the sort-based oracles
+
+def lattice(side: int, seed: int | None = None) -> np.ndarray:
+    """Integer lattice points, so many distances tie exactly; optionally in a
+    shuffled order, so the lowest-index rule is not the lattice order."""
+    pts = np.indices((side,) * 3).reshape(3, -1).T.astype(np.float64)
+    return pts if seed is None else pts[np.random.default_rng(seed).permutation(len(pts))]
+
+
+def test_distances_equal_linalg_norm_bitwise():
+    # Pins the summation order: if numpy changes how norm reduces its last
+    # axis, the geometry no longer equals the reference and this must fail.
+    rng = np.random.default_rng(20)
+    for scale in (1e-3, 1.0, 1e3):
+        for na, nb in ((1, 4096), (129, 517), (4096, 1)):
+            a, b = rng.uniform(-scale, scale, (na, 3)), rng.uniform(-scale, scale, (nb, 3))
+            assert np.array_equal(_distances(a, b),
+                                  np.linalg.norm(a[:, None] - b[None], axis=2))
+    pts = lattice(4, seed=0) * 0.1
+    assert np.array_equal(_distances(pts, pts), np.linalg.norm(pts[:, None] - pts[None], axis=2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 100, 512, 4096])
+def test_geometry_matches_oracles_on_random_clouds(n):
+    coords = np.random.default_rng(n).uniform(0, 1, (n, 3)) * (1.0, 1.0, 0.8)
+    m = min(n, 128)
+    centers = farthest_point_sampling(coords, m)
+    assert np.array_equal(centers, farthest_point_sampling_norm(coords, m))
+    for radius, nsample in ((0.2, 16), (0.05, 4), (2.0, 16)):
+        got = ball_group(coords, coords[centers], radius, nsample)
+        assert np.array_equal(got, ball_group_sorted(coords, coords[centers], radius, nsample))
+    coarse = coords[centers]
+    for fine in (coords, np.random.default_rng(n + 1).uniform(0, 1, (64, 3))):
+        idx, w = nearest_neighbor_interpolation(fine, coarse)
+        ref_idx, ref_w = nearest_neighbor_interpolation_sorted(fine, coarse)
+        assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2 ** 0.5, 3 ** 0.5, 2.0])
+@pytest.mark.parametrize("nsample", [1, 4, 7, 16, 125, 200])
+def test_ball_group_lattice_ties_match_oracle(radius, nsample):
+    # neighbors at exactly the radius, more tied in-range points than
+    # nsample (radius 1 has 7 in range, radius sqrt(2) has 19), and
+    # nsample >= N (125 points)
+    for seed in (None, 1):
+        coords = lattice(5, seed)
+        got = ball_group(coords, coords, radius, nsample)
+        assert np.array_equal(got, ball_group_sorted(coords, coords, radius, nsample))
+
+
+@pytest.mark.parametrize("radius, nsample", [(0.4, 4), (0.9, 3), (0.9, 8), (0.9, 16)])
+def test_ball_group_centers_off_the_point_set_match_oracle(radius, nsample):
+    # Cell centers are sqrt(0.75) from 8 lattice points at once: isolated at
+    # radius 0.4 (the tied nearest point fills every slot), 8 ties in range
+    # at 0.9. Far centers are isolated with a unique nearest point.
+    coords = lattice(4, seed=2)
+    centers = np.concatenate([lattice(3) + 0.5, [[10.0, 0, 0], [-5.0, 2.0, 1.0]]])
+    got = ball_group(coords, centers, radius, nsample)
+    assert np.array_equal(got, ball_group_sorted(coords, centers, radius, nsample))
+
+
+@pytest.mark.parametrize("n_coarse", [1, 2, 3, 4, 27])
+def test_interpolation_lattice_ties_match_oracle(n_coarse):
+    # fine lattice points tie exactly at the 1st, 2nd and 3rd coarse neighbor
+    fine = np.concatenate([lattice(4, seed=3), lattice(3) + 0.5])
+    coarse = (lattice(3, seed=4) * 2.0)[:n_coarse]
+    idx, w = nearest_neighbor_interpolation(fine, coarse)
+    ref_idx, ref_w = nearest_neighbor_interpolation_sorted(fine, coarse)
+    assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w)
+    assert idx.shape == (len(fine), min(3, n_coarse))
+
+
+def test_fps_lattice_ties_match_oracle():
+    for seed in (None, 5):
+        coords = lattice(5, seed)
+        assert np.array_equal(farthest_point_sampling(coords, 64),
+                              farthest_point_sampling_norm(coords, 64))
+
+
+ORACLES = {"farthest_point_sampling": farthest_point_sampling_norm,
+           "ball_group": ball_group_sorted,
+           "nearest_neighbor_interpolation": nearest_neighbor_interpolation_sorted}
+
+
+def geometry_arrays(geo):
+    return (geo.levels + geo.sa_indices + [t.values for t in geo.sa_rel]
+            + [t.values for t in geo.fp_mats] + [geo.fusion_coarse.values])
+
+
+@pytest.mark.parametrize("n, dtype", [(512, np.float32), (4096, np.float32), (512, np.float64)])
+def test_compute_geometry_matches_oracle_path(monkeypatch, n, dtype):
+    bb = Backbone(LayerSpec(), np.random.default_rng(0), dtype)
+    coords = np.random.default_rng(n).uniform(0, 1, (n, 3)) * (1.0, 1.0, 0.8)
+    got = geometry_arrays(bb.compute_geometry(coords))
+    for name, oracle in ORACLES.items():
+        monkeypatch.setattr(backbone, name, oracle)
+    ref = geometry_arrays(bb.compute_geometry(coords))
+    assert len(got) == len(ref) == 14
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_compute_geometry_peak_memory_at_paper_block_size():
+    bb = Backbone(LayerSpec(), np.random.default_rng(0))
+    coords = np.random.default_rng(21).uniform(0, 1, (4096, 3)) * (1.0, 1.0, 0.8)
+    tracemalloc.start()
+    try:
+        bb.compute_geometry(coords)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,9 @@ def test_spec_validation():
         SyntheticSceneSpec(num_classes=1)
     with pytest.raises(ValueError):
         SyntheticSceneSpec(instance_range=(0, 3))
+    for noise in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_std"):
+            SyntheticSceneSpec(noise_std=noise)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,14 @@ def test_load_network_rejects_model_drift(tmp_path):
     # a matching config loads fine
     net = load_network(cfg, result.checkpoint_path)
     assert len(net.parameters()) == 42
+
+
+def test_train_checkpoint_holds_parameters_only(tmp_path):
+    result = train(tiny_config(iterations=2), tmp_path / "run")
+    ckpt = load_checkpoint(result.checkpoint_path)
+    assert ckpt.optimizer_state == {}
+    assert ckpt.iteration == ckpt.optimizer_step == 2
+    assert len(ckpt.parameters) == 42
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +291,10 @@ def config_with(tmp_path, lines):
     ["block_size = nan"], ["room_extent = 1,1"], ["room_extent = 1,1,-1"],
     ["room_extent = 1,inf,0.8"], ["min_instances = 5", "max_instances = 2"],
     ["min_points_per_instance = 0"], ["delta_v = 2"], ["seed = -1"],
+    # validation split and scene noise
+    ["val_fraction = nan", "early_stopping = true"], ["val_fraction = inf"],
+    ["val_fraction = 0"], ["val_fraction = 1"], ["val_fraction = -0.1"],
+    ["noise_std = -1"], ["noise_std = nan"], ["noise_std = inf"],
 ])
 def test_cli_rejects_bad_backbone_config_before_training(tmp_path, capsys, lines):
     code = cli.main(["train", "--config", config_with(tmp_path, lines),
@@ -315,6 +328,10 @@ def _typed_values(default):
 _FIELD_LINES = st.one_of([
     st.tuples(st.just(f.name), _typed_values(f.default) | _VALUES)
     for f in dataclasses.fields(RunConfig)
+] + [
+    # edge values of the two ranged fields whose parsed values are asserted below
+    st.tuples(st.sampled_from(["val_fraction", "noise_std"]),
+              st.sampled_from(["0", "1", "-0.0", "1e-300", "0.999", "-1e-9", "nan", "-inf"])),
 ]).map(lambda kv: f"{kv[0]} = {kv[1]}")
 _JUNK_LINES = st.one_of(
     st.tuples(st.text(max_size=10), _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
@@ -333,6 +350,8 @@ def test_config_text_parses_or_raises_config_error(fields, junk, random):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+    assert 0 < cfg.val_fraction < 1
+    assert math.isfinite(cfg.noise_std) and cfg.noise_std >= 0
 
 
 def test_diverged_training_raises_and_writes_no_checkpoint(tmp_path):
