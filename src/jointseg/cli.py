@@ -70,10 +70,23 @@ def load_result(path) -> tuple[np.ndarray, np.ndarray]:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("result v1"):
         raise SceneFormatError(f"{path}: missing result header")
-    n = int(lines[0].split("points=")[1])
+    try:
+        n = int(lines[0].split("points=", 1)[1])
+    except (IndexError, ValueError):
+        n = -1
+    if n < 0:
+        raise SceneFormatError(f"{path}: header needs points=<count >= 0>, got {lines[0]!r}")
     if len(lines) < 1 + n:
         raise SceneFormatError(f"{path}: truncated result file")
-    rows = np.array([[int(v) for v in line.split()] for line in lines[1: 1 + n]])
+    rows = np.empty((n, 2), dtype=np.int64)
+    for i, line in enumerate(lines[1: 1 + n]):
+        fields = line.split()
+        if len(fields) != 2:
+            raise SceneFormatError(f"{path} line {i + 2}: expected 'class instance', got {line!r}")
+        try:
+            rows[i] = [int(v) for v in fields]
+        except (ValueError, OverflowError) as e:
+            raise SceneFormatError(f"{path} line {i + 2}: {e}") from e
     return rows[:, 0], rows[:, 1]
 
 

@@ -86,6 +86,11 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for name in ("momentum", "beta2"):
+            if not 0 <= getattr(self, name) < 1:  # false for nan as well
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.lr_decay <= 1:
+            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.iterations < 1:

@@ -4,9 +4,13 @@ cross-block merging into scene-level labels.
 Mean-shift uses a flat kernel with every point as a seed; converged modes
 within half a bandwidth are unified and every point joins its nearest mode.
 It runs in chunks of ``_CHUNK`` rows, so its memory is O(``_CHUNK`` · n · K)
-instead of O(n² · K): the window test takes one GEMM per chunk and
-recomputes directly only the pairs whose expanded distance lies too close to
-the bandwidth to trust, and seeds that share a position are stepped once.
+instead of O(n² · K). Seeds that share a position are stepped once, found by
+one ``lexsort`` per iteration that also orders them along the points' widest
+axis. A chunk of such neighbouring centres is tested only against the points
+whose coordinate on that axis lies within a bandwidth of the chunk's span:
+the window test takes one GEMM over those candidates and recomputes directly
+only the pairs whose expanded distance lies too close to the bandwidth to
+trust. Window sums run over the members in their original order.
 Block merging maintains a voxel grid over the scene as arrays over its
 occupied voxels (one ``np.unique`` of the voxel keys): each block-local
 instance adopts the global id already covering enough of its voxels, or mints
@@ -27,19 +31,20 @@ from .data import Scene, split_into_blocks
 
 
 # Rows (seeds or points) per chunk. Each chunk's temporaries are a few
-# (_CHUNK, n) arrays: the traced peak of a 4096 x 5 block is 6 MB on trained
-# embeddings and 14 MB on Gaussian noise, whose 2315 modes widen the final
-# nearest-mode step.
-_CHUNK = 128
+# (_CHUNK, n) arrays at most: the tracemalloc peak of mean_shift on a 4096 x 5
+# block is 3.8 MB on trained embeddings and 8.1 MB on Gaussian noise, whose
+# 2370 modes widen the final nearest-mode step.
+_CHUNK = 64
 # Uncovered points per chunk of the nearest-voxel query. A chunk's temporaries
 # are a few (_NEAREST_ROWS, L) arrays over the L labeled voxels, 1.4 MB each
 # for the ~10.6k labeled voxels of a 3 m room of 29k points.
 _NEAREST_ROWS = 16
 # Half-width of the band in which the expanded distance is not trusted: around
-# bw² in the window test, relative to ‖c‖² + max ‖p‖² + bw² after centring, and
-# around a point's minimum in the nearest-voxel query, relative to
-# ‖p‖² + max ‖c‖². The rounding error of either distance form is a few K·2⁻⁵³
-# of that scale, far inside the band.
+# bw² in the window test, relative to max ‖c‖² + max ‖p‖² + bw² over a chunk
+# after centring, and around a point's minimum in the nearest-voxel query,
+# relative to ‖p‖² + max ‖c‖². The rounding error of either distance form is a
+# few K·2⁻⁵³ of that scale, far inside the band. The window's axis pruning
+# widens its reach by the same relative margin.
 _RECHECK_BAND = 1e-9
 
 
@@ -59,12 +64,29 @@ class MeanShiftConfig:
 
 
 class _Window:
-    """Flat-kernel window membership of centres against every point, equal to
+    """Flat-kernel window membership of centres against the points, equal to
     ``((c - p) ** 2).sum(-1) <= bw2`` pair for pair.
 
-    d² is expanded as ‖c‖² + ‖p‖² − 2·c·pᵀ on mean-centred coordinates, so a
-    chunk costs one GEMM; pairs within the recheck band of bw² take the direct
-    expression instead.
+    The points are argsorted once along their highest-variance axis a. A call
+    tests its centres only against the candidates: the points whose coordinate
+    on a lies within ``reach`` = bw · (1 + _RECHECK_BAND) of the centres' span
+    on a, found by two ``searchsorted``. Every other pair fails the direct
+    test. Rounding is monotone, so a point outside the rounded range bounds
+    lies outside the exact ones: more than ``reach`` from every centre on a.
+    Its rounded (c_a − p_a)² then exceeds bw2, because the band is far wider
+    than the rounding of the difference and of its square; and a float sum of
+    non-negative squares is at least its largest term.
+
+    A call returns the candidates' membership and their indices in ascending,
+    that is original, order. When the range covers every point, the indices
+    are a full slice and nothing is gathered. A lone centre also takes every
+    point: its window sum is then the same BLAS call (a GEMV, whose rounding
+    depends on its length) as an unchunked step of one seed, so the float64
+    mode of a seed that moves alone keeps the unchunked computation's bits.
+
+    Among the candidates d² − bw2 is expanded as ‖c‖² + ‖p‖² − 2·c·pᵀ − bw2
+    on mean-centred coordinates, so a chunk costs one GEMM; pairs within the
+    recheck band of bw² take the direct expression instead.
     """
 
     def __init__(self, pts: np.ndarray, bw2: float):
@@ -72,23 +94,55 @@ class _Window:
         self.bw2 = bw2
         self.mean = pts.mean(axis=0)
         centred = pts - self.mean
-        self.minus_2pt = -2.0 * centred.T
-        self.p_sq = (centred ** 2).sum(axis=1)
-        self.p_sq_max = self.p_sq.max()
+        p_sq = (centred ** 2).sum(axis=1)
+        self.p_sq_max = p_sq.max()
+        # [c, 1, ‖c‖² − bw2] @ rhs = ‖c‖² + ‖p‖² − 2·c·pᵀ − bw2
+        self.rhs = np.vstack([-2.0 * centred.T, p_sq, np.ones(len(pts))])
+        self.axis = int(pts.var(axis=0).argmax())
+        self.order = np.argsort(pts[:, self.axis], kind="stable")
+        self.sorted_axis = pts[self.order, self.axis]
+        self.reach = np.sqrt(bw2) * (1 + _RECHECK_BAND)
 
-    def __call__(self, centres: np.ndarray) -> np.ndarray:
+    def __call__(self, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+        """(within, cols): the membership of ``centres`` against ``pts[cols]``."""
+        span = centres[:, self.axis]
+        lo = np.searchsorted(self.sorted_axis, span.min() - self.reach, side="left")
+        hi = np.searchsorted(self.sorted_axis, span.max() + self.reach, side="right")
+        if len(centres) == 1 or hi - lo == len(self.order):
+            cols = slice(None)
+        else:
+            cols = np.sort(self.order[lo:hi])
         c = centres - self.mean
         c_sq = (c ** 2).sum(axis=1)
-        g = c @ self.minus_2pt  # d² − ‖c‖², up to rounding
-        g += self.p_sq
-        thr = (self.bw2 - c_sq)[:, None]
-        slack = (_RECHECK_BAND * (c_sq + self.p_sq_max + self.bw2))[:, None]
-        within = g <= thr + slack
-        near = within & (g > thr - slack)
+        lhs = np.hstack([c, np.ones((len(c), 1)), (c_sq - self.bw2)[:, None]])
+        e = lhs @ self.rhs[:, cols]  # d² − bw2, up to rounding
+        slack = _RECHECK_BAND * (c_sq.max() + self.p_sq_max + self.bw2)
+        within = e <= slack
+        near = within & (e > -slack)
         if near.any():
             r, q = np.nonzero(near)
-            within[r, q] = ((centres[r] - self.pts[q]) ** 2).sum(-1) <= self.bw2
-        return within
+            within[r, q] = ((centres[r] - self.pts[cols][q]) ** 2).sum(-1) <= self.bw2
+        return within, cols
+
+
+def _distinct_rows(rows: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct, first, inverse) of the rows of ``rows``, grouped by equal
+    values (0.0 and −0.0 alike) as ``np.unique(rows, axis=0)`` groups them.
+
+    One stable ``lexsort`` with column ``axis`` as the primary key orders the
+    groups along that column; ``first`` holds each group's lowest row index,
+    whose row is the group's representative, and ``rows[first][inverse]``
+    equals ``rows`` up to the sign of zeros.
+    """
+    keys = [k for k in range(rows.shape[1]) if k != axis] + [axis]
+    perm = np.lexsort(rows.T[keys])
+    ordered = rows[perm]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = perm[starts]
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[perm] = np.cumsum(starts) - 1
+    return rows[first], first, inverse
 
 
 def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -97,15 +151,19 @@ def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np
     Returns (labels, modes); labels are dense ids ordered by descending mode
     support (points within one bandwidth of the mode), ties by seed index.
 
-    Every point seeds a mode. Each iteration moves the distinct positions of
-    the still-moving seeds, ``_CHUNK`` at a time, to the mean of the points
-    within one bandwidth; support, merging and the final nearest-mode
-    assignment run over distinct modes and chunks of points. No temporary
-    exceeds ``_CHUNK`` · n · K floats. The window and merge tests decide every
-    pair as the direct distance expressions do, so the result is that of the
-    unchunked computation, except that BLAS may round a chunk's window sums
-    differently from a full-size product: float64 modes can then differ in
-    their last bits, while float32-valued embeddings sum exactly.
+    Every point seeds a mode. Each iteration groups the still-moving seeds by
+    position with one ``lexsort``, in order along the window's pruning axis,
+    and moves each distinct position, ``_CHUNK`` at a time, to the mean of the
+    points within one bandwidth. A chunk of centres that lie close together on
+    that axis is tested only against the points near them on it. Support,
+    merging and the final nearest-mode assignment run over distinct modes and
+    chunks of points. No temporary exceeds ``_CHUNK`` · n · K floats. The window
+    and merge tests decide every pair as the direct distance expressions do,
+    and window sums run over the members in their original order, so the
+    result is that of the unchunked computation, except that BLAS may round a
+    chunk's window sums differently from a full-size product: float64 modes
+    can then differ in their last bits, while float32-valued embeddings sum
+    exactly.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -114,6 +172,7 @@ def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np
         raise ValueError("points must be finite")
     n = pts.shape[0]
     window = _Window(pts, cfg.bandwidth ** 2)
+    pts_1 = np.hstack([pts, np.ones((n, 1))])
 
     modes = pts.copy()  # one seed per point
     active = np.ones(n, dtype=bool)
@@ -122,19 +181,19 @@ def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np
         if idx.size == 0:
             break
         # seeds at one position share their trajectory: step each position once
-        cur, inv = np.unique(modes[idx], axis=0, return_inverse=True)
-        inv = inv.reshape(-1)  # numpy 2.0.0 returns it 2-D
+        cur, _, inv = _distinct_rows(modes[idx], window.axis)
         new = np.empty_like(cur)
         for s in range(0, len(cur), _CHUNK):
-            within = window(cur[s:s + _CHUNK])
-            new[s:s + _CHUNK] = (within @ pts) / within.sum(axis=1, keepdims=True)
+            within, cols = window(cur[s:s + _CHUNK])
+            sums = within @ pts_1[cols]  # window sums, then the exact member count
+            new[s:s + _CHUNK] = sums[:, :-1] / sums[:, -1:]
         converged = np.linalg.norm(new - cur, axis=1) < cfg.tol
         modes[idx] = new[inv]
         active[idx[converged[inv]]] = False
 
     # copies of a mode share its support and merge into its first seed
-    uniq, first = np.unique(modes, axis=0, return_index=True)
-    support = np.concatenate([window(uniq[s:s + _CHUNK]).sum(axis=1)
+    uniq, first, _ = _distinct_rows(modes, window.axis)
+    support = np.concatenate([window(uniq[s:s + _CHUNK])[0].sum(axis=1)
                               for s in range(0, len(uniq), _CHUNK)])
     order = np.lexsort((first, -support))  # support desc, seed index asc
     merge_r = cfg.bandwidth / 2

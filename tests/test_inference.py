@@ -142,7 +142,7 @@ def test_matches_dense_on_planted_blobs(seed):
 def test_matches_dense_on_rows_sampled_with_replacement():
     rng = np.random.default_rng(9)
     pts = criterion4_blobs(3)
-    sampled = pts[rng.integers(0, len(pts), 3 * inference._CHUNK)]
+    sampled = pts[rng.integers(0, len(pts), 384)]
     assert np.unique(sampled, axis=0).shape[0] < len(sampled)
     assert_matches_dense(sampled)
 
@@ -159,17 +159,125 @@ def test_matches_dense_on_lattice_with_pairs_on_the_threshold(offset):
     assert_matches_dense(integer_lattice() + offset, MeanShiftConfig(bandwidth=1.0))
 
 
+def window_membership(pts, bw2, centres=None):
+    """The full (m, n) membership that ``_Window`` gives, called as mean_shift
+    calls it: on chunks of ``_CHUNK`` centres in order along its pruning axis.
+    Also returns the number of chunks whose candidates left points out."""
+    window = inference._Window(pts, bw2)
+    centres = pts if centres is None else centres
+    order = np.argsort(centres[:, window.axis], kind="stable")
+    full = np.zeros((len(centres), len(pts)), dtype=bool)
+    pruned = 0
+    for s in range(0, len(order), inference._CHUNK):
+        rows = order[s:s + inference._CHUNK]
+        within, cols = window(centres[rows])
+        cols = np.arange(len(pts))[cols]
+        pruned += len(cols) < len(pts)
+        full[np.ix_(rows, cols)] = within
+    return full, pruned
+
+
+def direct_membership(centres, pts, bw2):
+    return ((centres[:, None, :] - pts[None, :, :]) ** 2).sum(-1) <= bw2
+
+
 @pytest.mark.parametrize("scale,offset,bandwidth", [
     (1.0, 0.0, 1.0), (1.0, 0.1, 1.0), (0.1, 0.0, 0.1), (0.7, 1.1, 0.7), (1.0, 0.1, np.sqrt(2.0)),
 ])
 def test_window_is_exact_on_lattice_threshold_pairs(scale, offset, bandwidth):
     pts = integer_lattice() * scale + offset
     bw2 = bandwidth ** 2
-    direct = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1) <= bw2
-    assert np.array_equal(inference._Window(pts, bw2)(pts), direct)
+    full, pruned = window_membership(pts, bw2)
+    assert pruned > 0
+    assert np.array_equal(full, direct_membership(pts, pts, bw2))
 
 
-@pytest.mark.parametrize("n", [1, inference._CHUNK // 2, 2 * inference._CHUNK + 3])
+def axis_lattice(bandwidth, offset):
+    """A 3 x 12 x 3 lattice, widest along axis 1 with spacing bw there: every
+    neighbour pair on that axis sits at Δ = bw and matches on the others."""
+    grid = np.stack(np.meshgrid(np.arange(3.0), np.arange(12.0), np.arange(3.0),
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    return grid * [0.25 * bandwidth, bandwidth, 0.25 * bandwidth] + offset
+
+
+@pytest.mark.parametrize("bandwidth,offset", [
+    (1.0, 0.0), (0.75, 0.25), (0.7, 0.1), (0.1, 1.1), (0.3, -2.9), (0.3, 12345.6), (1.0, 1e7),
+])
+def test_window_is_exact_at_one_bandwidth_along_the_pruning_axis(bandwidth, offset):
+    pts = axis_lattice(bandwidth, offset)
+    bw2 = bandwidth ** 2
+    assert inference._Window(pts, bw2).axis == 1
+    full, pruned = window_membership(pts, bw2)
+    assert pruned > 0
+    assert np.array_equal(full, direct_membership(pts, pts, bw2))
+    # centres a hair beyond one bandwidth on the axis from a lattice row
+    shifted = pts + np.array([0.0, bandwidth * (1 + 1e-15), 0.0])
+    full, _ = window_membership(pts, bw2, shifted)
+    assert np.array_equal(full, direct_membership(shifted, pts, bw2))
+
+
+@pytest.mark.parametrize("bandwidth,offset", [(1.0, 0.0), (0.5, 0.0), (0.75, 0.25)])
+def test_matches_dense_at_one_bandwidth_along_the_pruning_axis(bandwidth, offset):
+    # dyadic coordinates, so the window sums are exact in any order
+    assert_matches_dense(axis_lattice(bandwidth, offset), MeanShiftConfig(bandwidth=bandwidth))
+
+
+def test_window_prunes_along_a_widest_axis_other_than_the_first():
+    rng = np.random.default_rng(15)
+    pts = (rng.standard_normal((700, 4)) * [0.3, 0.5, 2.5, 0.4]).astype(np.float32)
+    pts64 = pts.astype(np.float64)
+    assert inference._Window(pts64, 0.36).axis == 2
+    full, pruned = window_membership(pts64, 0.36)
+    assert pruned > 0
+    assert np.array_equal(full, direct_membership(pts64, pts64, 0.36))
+    assert_matches_dense(pts)
+
+
+def test_window_on_a_cloud_without_variance_takes_every_point():
+    pts = np.full((70, 3), 0.375)
+    within, cols = inference._Window(pts, 0.36)(pts[:5])
+    assert cols == slice(None)
+    assert within.all()
+    assert_matches_dense(pts)
+
+
+@pytest.mark.parametrize("n", [1, 9, 3 * inference._CHUNK])
+def test_duplicate_rows_with_signed_zeros_match_dense(n):
+    rng = np.random.default_rng(16)
+    base = np.array([[0.0, 1.0, 0.0], [-0.0, 1.0, 0.0], [0.0, 1.0, -0.0],
+                     [0.5, -0.0, 0.25], [0.5, 0.0, 0.25], [3.0, 3.0, 3.0]])
+    pts = base[rng.integers(0, len(base), n)] if n > 1 else base[1:2]
+    assert_matches_dense(pts)
+
+
+def test_distinct_rows_group_as_numpy_unique():
+    rng = np.random.default_rng(17)
+    values = np.array([0.0, -0.0, 1.0, -1.5, 2.0 ** -1074, 1e300])
+    rows = values[rng.integers(0, len(values), (3000, 3))]
+    for axis in range(3):
+        distinct, first, inverse = inference._distinct_rows(rows, axis)
+        ref, ref_first, ref_inverse = np.unique(rows, axis=0, return_index=True,
+                                                return_inverse=True)
+        ref_inverse = ref_inverse.reshape(-1)  # numpy 2.0.0 returns it 2-D
+        # the same partition of the rows, each group led by its lowest index
+        assert len(distinct) == len(ref)
+        assert np.array_equal(ref_inverse[first][inverse], ref_inverse)
+        assert np.array_equal(np.sort(first), np.sort(ref_first))
+        assert np.array_equal(distinct, rows[first])
+        assert (distinct[inverse] == rows).all()
+        assert (np.diff(distinct[:, axis]) >= 0).all()
+
+
+def test_anisotropic_float32_clusters_match_dense_at_2048_points():
+    rng = np.random.default_rng(18)
+    centres = rng.uniform(-3, 3, (8, 5)) * [0.3, 3.0, 0.8, 0.5, 1.0]
+    pts = (centres[rng.integers(0, 8, 2048)]
+           + rng.standard_normal((2048, 5)) * [0.05, 0.4, 0.2, 0.1, 0.3]).astype(np.float32)
+    assert inference._Window(pts.astype(np.float64), CFG.bandwidth ** 2).axis == 1
+    assert_matches_dense(pts)
+
+
+@pytest.mark.parametrize("n", [1, 32, 64, 131, 259])  # around multiples of _CHUNK = 64
 def test_matches_dense_across_chunk_boundaries(n):
     rng = np.random.default_rng(n)
     assert_matches_dense(rng.standard_normal((n, 5)))

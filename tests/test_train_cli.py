@@ -11,6 +11,7 @@ from jointseg import autodiff as ad
 from jointseg import cli
 from jointseg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from jointseg.config import ConfigError, RunConfig, parse_config_text
+from jointseg.data import generate_scene, save_scene
 from jointseg.optim import Adam
 from jointseg.train import grad_check, load_network, train
 
@@ -295,6 +296,10 @@ def config_with(tmp_path, lines):
     ["val_fraction = nan", "early_stopping = true"], ["val_fraction = inf"],
     ["val_fraction = 0"], ["val_fraction = 1"], ["val_fraction = -0.1"],
     ["noise_std = -1"], ["noise_std = nan"], ["noise_std = inf"],
+    # Adam moments and the step-decay factor
+    ["momentum = 1"], ["beta2 = 1"], ["momentum = nan"], ["beta2 = nan"], ["momentum = -0.1"],
+    ["beta2 = inf"], ["lr_decay = -1"], ["lr_decay = nan"], ["lr_decay = 0"],
+    ["lr_decay = 1.5"], ["lr_decay = inf"],
 ])
 def test_cli_rejects_bad_backbone_config_before_training(tmp_path, capsys, lines):
     code = cli.main(["train", "--config", config_with(tmp_path, lines),
@@ -329,8 +334,8 @@ _FIELD_LINES = st.one_of([
     st.tuples(st.just(f.name), _typed_values(f.default) | _VALUES)
     for f in dataclasses.fields(RunConfig)
 ] + [
-    # edge values of the two ranged fields whose parsed values are asserted below
-    st.tuples(st.sampled_from(["val_fraction", "noise_std"]),
+    # edge values of the ranged fields whose parsed values are asserted below
+    st.tuples(st.sampled_from(["val_fraction", "noise_std", "momentum", "beta2", "lr_decay"]),
               st.sampled_from(["0", "1", "-0.0", "1e-300", "0.999", "-1e-9", "nan", "-inf"])),
 ]).map(lambda kv: f"{kv[0]} = {kv[1]}")
 _JUNK_LINES = st.one_of(
@@ -352,6 +357,8 @@ def test_config_text_parses_or_raises_config_error(fields, junk, random):
     assert isinstance(cfg, RunConfig)
     assert 0 < cfg.val_fraction < 1
     assert math.isfinite(cfg.noise_std) and cfg.noise_std >= 0
+    assert 0 <= cfg.momentum < 1 and 0 <= cfg.beta2 < 1
+    assert 0 < cfg.lr_decay <= 1
 
 
 def test_diverged_training_raises_and_writes_no_checkpoint(tmp_path):
@@ -377,6 +384,23 @@ def test_cli_data_error_exit_code(tmp_path):
     code = cli.main(["eval", "--result", str(tmp_path / "missing.result"),
                      "--scene", str(tmp_path / "missing.scene")])
     assert code == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("text", [
+    "result v1\n0 0\n",
+    "result v1 points=x\n0 0\n",
+    "result v1 points=-1\n",
+    "result v1 points=2\n0 0\n1\n",
+    "result v1 points=2\n0 0\n1 0.5\n",
+], ids=["no_count", "count_not_a_number", "count_negative", "one_column_row", "non_integer_entry"])
+def test_cli_eval_rejects_malformed_result(tmp_path, capsys, text):
+    scene_path = tmp_path / "scene.scene"
+    save_scene(scene_path, generate_scene(tiny_config().scene_spec(0)))
+    result_path = tmp_path / "bad.result"
+    result_path.write_text(text)
+    code = cli.main(["eval", "--result", str(result_path), "--scene", str(scene_path)])
+    assert code == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
 
 
 def test_cli_checkpoint_error_exit_code(tmp_path):
