@@ -2,9 +2,9 @@
 
 A small numpy-backed engine providing exactly the differentiable primitives
 the segmentation network needs: matrix products, per-point (kernel-size-1)
-convolutions, elementwise arithmetic with single-axis broadcasting, axis
-reductions, concatenation, row gather/scatter, grouped max pooling and a
-fused softmax cross-entropy.
+convolutions fused with their bias and ReLU into one graph node, elementwise
+arithmetic with single-axis broadcasting, axis reductions, concatenation,
+row gather/scatter, grouped max pooling and a fused softmax cross-entropy.
 
 Tensors are immutable after construction except for their ``grad`` buffers.
 Operations executed while recording is enabled (the default) build a dynamic
@@ -94,8 +94,8 @@ def _make(values: np.ndarray, parents: tuple[Tensor, ...], backprop) -> Tensor:
     return out
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Topological order of the graph below ``root`` (parents before children)."""
+def graph_nodes(root: Tensor) -> list[Tensor]:
+    """The recorded graph below ``root`` in topological order (parents first)."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -114,11 +114,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def graph_nodes(root: Tensor) -> list[Tensor]:
-    """The recorded computation below ``root`` in topological order."""
-    return _topo_order(root)
-
-
 def backward(loss: Tensor) -> None:
     """Reverse accumulation of d(loss)/d(leaf) into leaf ``grad`` buffers.
 
@@ -128,7 +123,7 @@ def backward(loss: Tensor) -> None:
     """
     if loss.values.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
-    order = _topo_order(loss)
+    order = graph_nodes(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
 
     def accum(t: Tensor, g: np.ndarray) -> None:
@@ -378,17 +373,33 @@ def rowmax_pool(x: Tensor, group_size: int) -> Tensor:
 
 
 def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor, activation: str = "relu") -> Tensor:
-    """Per-point shared affine map x @ W + b with optional ReLU.
+    """Per-point shared affine map x @ W + b with optional ReLU, as one node.
 
     This is a 1D convolution with kernel size 1: every point (row) is mapped
-    by the same (Cin, Cout) weight and (1, Cout) bias.
+    by the same (Cin, Cout) weight and (1, Cout) bias. The node's values and
+    gradients equal those of ``relu(add(matmul(x, W), b))`` bit for bit; the
+    ReLU takes subgradient 0 at the kink.
     """
     if activation not in ("relu", "none"):
         raise ValueError(f"unknown activation {activation!r}")
-    if x.values.ndim != 2 or x.shape[1] != weight.shape[0]:
+    if x.values.ndim != 2 or weight.values.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise DimensionError(f"channel mismatch: input {x.shape} vs weight {weight.shape}")
-    out = add(matmul(x, weight), bias)
-    return relu(out) if activation == "relu" else out
+    _check_broadcast((x.shape[0], weight.shape[1]), bias.shape)
+    xv, wv = x.values, weight.values
+    out = xv @ wv + bias.values
+    mask = out > 0 if activation == "relu" else None
+    if mask is not None:
+        out = np.where(mask, out, 0)
+
+    def backprop(g, accum):
+        gm = g if mask is None else g * mask
+        if x.requires_grad:
+            accum(x, gm @ wv.T)
+        if weight.requires_grad:
+            accum(weight, xv.T @ gm)
+        accum(bias, _unbroadcast(gm, bias.shape))
+
+    return _make(out, (x, weight, bias), backprop)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -419,14 +430,13 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # parameters
 
 class Parameter:
-    """A named trainable tensor with a record of how it was initialized."""
+    """A named trainable tensor."""
 
-    __slots__ = ("name", "tensor", "init")
+    __slots__ = ("name", "tensor")
 
-    def __init__(self, name: str, values: np.ndarray, init: str = "explicit"):
+    def __init__(self, name: str, values: np.ndarray):
         self.name = name
         self.tensor = Tensor(values, requires_grad=True)
-        self.init = init
 
     @property
     def values(self) -> np.ndarray:

@@ -87,6 +87,8 @@ def load_result(path) -> tuple[np.ndarray, np.ndarray]:
             rows[i] = [int(v) for v in fields]
         except (ValueError, OverflowError) as e:
             raise SceneFormatError(f"{path} line {i + 2}: {e}") from e
+        if rows[i, 0] < 0:
+            raise SceneFormatError(f"{path} line {i + 2}: class id must be >= 0, got {rows[i, 0]}")
     return rows[:, 0], rows[:, 1]
 
 

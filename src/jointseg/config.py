@@ -91,10 +91,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if self.decay_every < 0:
+            raise ConfigError(f"decay_every must be >= 0 (0 never decays), got {self.decay_every}")
+        for name in ("batch_size", "iterations", "patience", "num_scenes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if not (self.block_size > 0 and self.stride > 0):

@@ -70,7 +70,6 @@ class Block:
     features: np.ndarray
     semantic_labels: np.ndarray
     instance_ids: np.ndarray
-    origin: tuple[float, float]
     point_indices: np.ndarray
 
     @property
@@ -299,7 +298,6 @@ def split_into_blocks(scene: Scene, block_size: float = 1.0, stride: float = 0.5
                 features=feats,
                 semantic_labels=scene.semantic_labels[idx],
                 instance_ids=scene.instance_ids[idx],
-                origin=(float(x0), float(y0)),
                 point_indices=idx,
             ))
     return blocks

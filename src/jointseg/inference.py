@@ -227,8 +227,7 @@ class BlockPrediction:
 
 
 def predict_block(logits: np.ndarray, embeddings: np.ndarray,
-                  point_indices: np.ndarray, cfg: MeanShiftConfig,
-                  num_classes: int | None = None) -> BlockPrediction:
+                  point_indices: np.ndarray, cfg: MeanShiftConfig) -> BlockPrediction:
     """Argmax classes, mean-shift instances, and majority-vote categories.
 
     Category ties within an instance resolve to the lowest class id.
@@ -236,7 +235,7 @@ def predict_block(logits: np.ndarray, embeddings: np.ndarray,
     logits = np.asarray(logits)
     semantic = logits.argmax(axis=1).astype(np.int64)
     instance, _ = mean_shift(np.asarray(embeddings), cfg)
-    c = logits.shape[1] if num_classes is None else max(int(num_classes), logits.shape[1])
+    c = logits.shape[1]
     n_inst = int(instance.max()) + 1
     votes = np.bincount(instance * c + semantic, minlength=n_inst * c).reshape(n_inst, c)
     categories = votes.argmax(axis=1)  # first maximum = lowest class id on ties
@@ -392,7 +391,6 @@ def segment_scene(network, scene: Scene, *, block_size: float = 1.0, stride: flo
         for block in blocks:
             out = network.forward(block.features)
             predictions.append(predict_block(out.logits.values, out.embeddings.values,
-                                             block.point_indices, mean_shift_cfg,
-                                             network.num_classes))
+                                             block.point_indices, mean_shift_cfg))
     return block_merging(predictions, scene, network.num_classes,
                          voxel_divisions, overlap_threshold)

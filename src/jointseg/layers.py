@@ -17,12 +17,9 @@ class Conv1x1:
                  dtype=np.float32, activation: str = "relu"):
         self.name = name
         self.activation = activation
-        self.weight = ad.Parameter(
-            f"{name}.weight",
-            ad.he_uniform((cin, cout), fan_in=cin, rng=rng, dtype=dtype),
-            init=f"he_uniform(fan_in={cin})",
-        )
-        self.bias = ad.Parameter(f"{name}.bias", np.zeros((1, cout), dtype=dtype), init="zeros")
+        self.weight = ad.Parameter(f"{name}.weight",
+                                   ad.he_uniform((cin, cout), fan_in=cin, rng=rng, dtype=dtype))
+        self.bias = ad.Parameter(f"{name}.bias", np.zeros((1, cout), dtype=dtype))
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         return ad.pointwise_conv(x, self.weight.tensor, self.bias.tensor, self.activation)

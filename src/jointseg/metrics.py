@@ -164,9 +164,11 @@ class MetricsReport:
         ]
         classes = sorted(set(self.per_class_precision_recall) | set(self.per_class_iou))
         for c in classes:
-            p, r = self.per_class_precision_recall.get(c, (float("nan"), float("nan")))
+            # a class absent from the ground truth has no precision or recall
+            pr = self.per_class_precision_recall.get(c)
+            p, r = (f"{v:.4f}" for v in pr) if pr else ("-", "-")
             i = self.per_class_iou.get(c, float("nan"))
-            lines.append(f"    class {c}: {p:.4f} {r:.4f} {i:.4f}")
+            lines.append(f"    class {c}: {p} {r} {i:.4f}")
         return "\n".join(lines)
 
     def to_kv_lines(self) -> list[str]:

@@ -260,6 +260,17 @@ def block_merging_loop(predictions: list[BlockPrediction], scene: Scene, num_cla
 
 
 # ---------------------------------------------------------------------------
+# unfused 1x1 convolution reference
+
+def pointwise_conv_unfused(x: ad.Tensor, weight: ad.Tensor, bias: ad.Tensor,
+                           activation: str = "relu") -> ad.Tensor:
+    """x @ W + b with optional ReLU as three graph nodes (matmul, add, relu);
+    ``ad.pointwise_conv`` must equal it bit for bit in values and gradients."""
+    out = ad.add(ad.matmul(x, weight), bias)
+    return ad.relu(out) if activation == "relu" else out
+
+
+# ---------------------------------------------------------------------------
 # per-instance discriminative loss reference
 
 def _hinge_squared_mean(dist: ad.Tensor, margin: float, above: bool) -> ad.Tensor:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from jointseg import autodiff as ad
-from oracles import fd_grad, max_rel_err
+from jointseg.layers import Conv1x1
+from oracles import fd_grad, max_rel_err, pointwise_conv_unfused
 
 
 def scalar_loss(out: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
@@ -83,6 +84,49 @@ def test_pointwise_conv_channel_mismatch():
     with pytest.raises(ad.DimensionError):
         ad.pointwise_conv(ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((5, 2))),
                           ad.Tensor(np.zeros((1, 2))))
+    with pytest.raises(ad.DimensionError, match=r"\(4, 2\).*\(2, 3\)"):  # bias shape
+        ad.pointwise_conv(ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((3, 2))),
+                          ad.Tensor(np.zeros((2, 3))))
+
+
+def conv_case(dtype, seed=0):
+    """x, W, b with integer-valued entries, so many pre-activations are exactly
+    0; row 0's are made exactly 0 by its bias."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, (40, 6)).astype(dtype)
+    w = rng.integers(-2, 3, (6, 5)).astype(dtype)
+    x[1:] += rng.standard_normal((39, 6)).astype(dtype) * (rng.random((39, 1)) < 0.5)
+    b = -(x[:1] @ w)
+    return x, w, b
+
+
+@pytest.mark.parametrize("activation", ["relu", "none"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_pointwise_conv_equals_unfused_composition(activation, dtype, x_grad):
+    x0, w0, b0 = conv_case(dtype)
+    assert (x0 @ w0 + b0 == 0).sum() > 10  # the ReLU kink is exercised
+    probe = np.random.default_rng(1).standard_normal((40, 5)).astype(dtype)
+    results = []
+    for conv in (ad.pointwise_conv, pointwise_conv_unfused):
+        x = ad.Tensor(x0, requires_grad=x_grad)
+        w, b = ad.Tensor(w0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+        out = conv(x, w, b, activation)
+        ad.backward(scalar_loss(out, probe))
+        results.append((out.values, x.grad, w.grad, b.grad))
+    fused, unfused = results
+    assert fused[0].dtype == unfused[0].dtype == dtype
+    assert (fused[1] is None) == (unfused[1] is None) == (not x_grad)
+    for got, want in zip(fused, unfused):
+        assert got is want is None or np.array_equal(got, want)
+
+
+def test_conv1x1_output_is_one_node():
+    layer = Conv1x1("c", 3, 4, np.random.default_rng(0))
+    x = ad.Tensor(np.ones((5, 3), dtype=np.float32), requires_grad=True)
+    out = layer(x)
+    assert len(out._parents) == 3
+    assert all(p is q for p, q in zip(out._parents, (x, layer.weight.tensor, layer.bias.tensor)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +328,8 @@ PRIMITIVES = {
     "rowmax": lambda x: ad.rowmax_pool(x, 2),
     "conv_relu": lambda x: ad.pointwise_conv(
         x, ad.Tensor(_const((3, 2), 18)), ad.Tensor(_const((1, 2), 19)), "relu"),
+    "conv_none": lambda x: ad.pointwise_conv(
+        x, ad.Tensor(_const((3, 2), 20)), ad.Tensor(_const((1, 2), 21)), "none"),
 }
 
 
@@ -329,6 +375,5 @@ def test_rowmax_gradient_flows_only_to_argmax():
 def test_parameter_names_and_init():
     p = ad.Parameter("layer.weight", ad.he_uniform((4, 3), 4, np.random.default_rng(0)))
     assert p.tensor.requires_grad and p.shape == (4, 3)
-    assert "he_uniform" in p.init or p.init == "explicit"
     with pytest.raises(ad.DimensionError):
         p.assign(np.zeros((3, 4)))

@@ -345,7 +345,7 @@ def test_predict_block_vote_matches_per_instance_counts():
     rng = np.random.default_rng(13)
     emb, _ = planted_blobs(rng, [np.zeros(2), np.array([4.0, 0]), np.array([0, 4.0])], n_per=15)
     logits = rng.standard_normal((45, 4))
-    pred = predict_block(logits, emb, np.arange(45), CFG, num_classes=6)
+    pred = predict_block(logits, emb, np.arange(45), CFG)
     for k in range(pred.num_instances):
         votes = np.bincount(pred.semantic[pred.instance == k], minlength=6)
         assert pred.instance_categories[k] == votes.argmax()

@@ -165,7 +165,7 @@ def test_graph_nodes_per_default_training_block():
     # updates this bound on purpose
     cfg = RunConfig()
     network, (prepared,) = default_blocks(cfg, 1)
-    assert len(ad.graph_nodes(_block_loss(network, prepared, cfg))) <= 174
+    assert len(ad.graph_nodes(_block_loss(network, prepared, cfg))) <= 134
 
 
 def test_parameter_gradients_match_per_instance_loop():

@@ -300,6 +300,8 @@ def config_with(tmp_path, lines):
     ["momentum = 1"], ["beta2 = 1"], ["momentum = nan"], ["beta2 = nan"], ["momentum = -0.1"],
     ["beta2 = inf"], ["lr_decay = -1"], ["lr_decay = nan"], ["lr_decay = 0"],
     ["lr_decay = 1.5"], ["lr_decay = inf"],
+    # decay schedule, early-stopping patience and scene count
+    ["decay_every = -1"], ["patience = 0"], ["patience = -3"], ["num_scenes = 0"],
 ])
 def test_cli_rejects_bad_backbone_config_before_training(tmp_path, capsys, lines):
     code = cli.main(["train", "--config", config_with(tmp_path, lines),
@@ -337,6 +339,8 @@ _FIELD_LINES = st.one_of([
     # edge values of the ranged fields whose parsed values are asserted below
     st.tuples(st.sampled_from(["val_fraction", "noise_std", "momentum", "beta2", "lr_decay"]),
               st.sampled_from(["0", "1", "-0.0", "1e-300", "0.999", "-1e-9", "nan", "-inf"])),
+    st.tuples(st.sampled_from(["decay_every", "patience", "num_scenes"]),
+              st.sampled_from(["-3", "-1", "0", "1", "2"])),
 ]).map(lambda kv: f"{kv[0]} = {kv[1]}")
 _JUNK_LINES = st.one_of(
     st.tuples(st.text(max_size=10), _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
@@ -359,6 +363,7 @@ def test_config_text_parses_or_raises_config_error(fields, junk, random):
     assert math.isfinite(cfg.noise_std) and cfg.noise_std >= 0
     assert 0 <= cfg.momentum < 1 and 0 <= cfg.beta2 < 1
     assert 0 < cfg.lr_decay <= 1
+    assert cfg.decay_every >= 0 and cfg.patience >= 1 and cfg.num_scenes >= 1
 
 
 def test_diverged_training_raises_and_writes_no_checkpoint(tmp_path):
@@ -401,6 +406,34 @@ def test_cli_eval_rejects_malformed_result(tmp_path, capsys, text):
     code = cli.main(["eval", "--result", str(result_path), "--scene", str(scene_path)])
     assert code == cli.EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def write_result(tmp_path, classes):
+    """A scene file and a full-length result file whose first classes are
+    ``classes`` and the rest 0, all in instance 0."""
+    scene_path = tmp_path / "scene.scene"
+    scene = generate_scene(tiny_config().scene_spec(0))
+    save_scene(scene_path, scene)
+    rows = np.zeros(scene.num_points, dtype=np.int64)
+    rows[:len(classes)] = classes
+    result_path = tmp_path / "r.result"
+    result_path.write_text(f"result v1 points={scene.num_points}\n"
+                           + "".join(f"{c} 0\n" for c in rows))
+    return str(result_path), str(scene_path)
+
+
+def test_cli_eval_rejects_negative_class_naming_the_line(tmp_path, capsys):
+    result, scene = write_result(tmp_path, [0, 1, -1])
+    assert cli.main(["eval", "--result", result, "--scene", scene]) == cli.EXIT_DATA
+    assert "line 4: class id must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_eval_prints_dash_for_class_absent_from_ground_truth(tmp_path, capsys):
+    result, scene = write_result(tmp_path, [99])
+    assert cli.main(["eval", "--result", result, "--scene", scene]) == 0
+    out = capsys.readouterr().out
+    assert "class 99: - - 0.0000" in out
+    assert "nan" not in out
 
 
 def test_cli_checkpoint_error_exit_code(tmp_path):
