@@ -2,9 +2,11 @@
 
 A small numpy-backed engine providing exactly the differentiable primitives
 the segmentation network needs: matrix products, per-point (kernel-size-1)
-convolutions fused with their bias and ReLU into one graph node, elementwise
-arithmetic with single-axis broadcasting, axis reductions, concatenation,
-row gather/scatter, grouped max pooling and a fused softmax cross-entropy.
+convolutions fused with their bias and ReLU into one graph node, sums and
+products with single-axis broadcasting, scaling, a sigmoid, axis means,
+concatenation, row gather/scatter, grouped max pooling, a fused softmax
+cross-entropy, and the discriminative loss's per-row squared L1 hinge as one
+node.
 
 Tensors are immutable after construction except for their ``grad`` buffers.
 Operations executed while recording is enabled (the default) build a dynamic
@@ -183,17 +185,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backprop)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-    out = a.values - b.values
-
-    def backprop(g, accum):
-        accum(a, _unbroadcast(g, a.shape))
-        accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(out, (a, b), backprop)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.shape, b.shape)
     out = a.values * b.values
@@ -208,20 +199,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backprop)
 
 
-def neg(x: Tensor) -> Tensor:
-    def backprop(g, accum):
-        accum(x, -g)
-
-    return _make(-x.values, (x,), backprop)
-
-
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    def backprop(g, accum):
-        accum(x, g)
-
-    return _make(x.values + c, (x,), backprop)
-
-
 def mul_scalar(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -229,15 +206,6 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
         accum(x, g * c)
 
     return _make(x.values * c, (x,), backprop)
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.values > 0  # subgradient 0 at the kink
-
-    def backprop(g, accum):
-        accum(x, g * mask)
-
-    return _make(np.where(mask, x.values, 0), (x,), backprop)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -254,13 +222,35 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(out, (x,), backprop)
 
 
-def absolute(x: Tensor) -> Tensor:
-    sign = np.sign(x.values)
+def l1_hinge_squared(a: Tensor, b: Tensor, margin: float, below: bool = False) -> Tensor:
+    """Per row, the squared hinge ``relu(±(Σ_j |a - b| - margin))²`` as one
+    (N, 1) node.
+
+    ``below=False`` penalizes L1 distances above the margin (the pull term of
+    the discriminative loss), ``below=True`` the shortfall below it (push).
+    Values and gradients equal those of the composition sub, absolute, row
+    sum, margin shift, (negation), ReLU and square bit for bit; the hinge and
+    the absolute value take subgradient 0 at their kinks.
+    """
+    if a.values.ndim != 2 or a.shape != b.shape:
+        raise DimensionError(f"l1_hinge_squared needs equal 2-D shapes, got {a.shape} and {b.shape}")
+    diff = a.values - b.values
+    sign = np.sign(diff)
+    gap = np.abs(diff).sum(axis=1, keepdims=True) + (-margin)
+    if below:
+        gap = -gap
+    mask = gap > 0
+    h = np.where(mask, gap, 0)
+    shape = a.shape
 
     def backprop(g, accum):
-        accum(x, g * sign)
+        gh = g * h
+        gh = (gh + gh) * mask  # the square's two product-rule terms, summed as a mul node would
+        gd = np.broadcast_to(-gh if below else gh, shape) * sign
+        accum(a, gd)
+        accum(b, -gd)
 
-    return _make(np.abs(x.values), (x,), backprop)
+    return _make(h * h, (a, b), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +282,6 @@ def reduce_mean(x: Tensor, axis: int) -> Tensor:
 
     def backprop(g, accum):
         accum(x, np.broadcast_to(g / n, shape))
-
-    return _make(out, (x,), backprop)
-
-
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    shape = x.shape
-    if axis is None:
-        out = np.array([[x.values.sum()]], dtype=x.dtype)
-
-        def backprop(g, accum):
-            accum(x, np.broadcast_to(np.reshape(g, (1,) * len(shape)), shape))
-
-        return _make(out, (x,), backprop)
-
-    if not 0 <= axis < x.values.ndim:
-        raise DimensionError(f"axis {axis} out of range for shape {x.shape}")
-    out = x.values.sum(axis=axis, keepdims=True)
-
-    def backprop(g, accum):
-        accum(x, np.broadcast_to(g, shape))
 
     return _make(out, (x,), backprop)
 
@@ -429,35 +399,20 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # parameters
 
-class Parameter:
-    """A named trainable tensor."""
+class Parameter(Tensor):
+    """A named trainable leaf tensor."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, values: np.ndarray):
+        super().__init__(values, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(values, requires_grad=True)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.tensor.values
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.tensor.grad
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.tensor.shape
-
-    def zero_grad(self) -> None:
-        self.tensor.zero_grad()
 
     def assign(self, values: np.ndarray) -> None:
         arr = np.asarray(values)
-        if arr.shape != self.tensor.shape:
-            raise DimensionError(f"parameter {self.name}: cannot assign shape {arr.shape} to {self.tensor.shape}")
-        self.tensor.values = arr.astype(self.tensor.dtype)
+        if arr.shape != self.shape:
+            raise DimensionError(f"parameter {self.name}: cannot assign shape {arr.shape} to {self.shape}")
+        self.values = arr.astype(self.dtype)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"

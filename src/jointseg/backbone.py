@@ -6,7 +6,8 @@ MLP on relative-coordinate-augmented features, max-reduce per group) down to
 a coarse level of 512-wide features. Two structurally identical but
 independently parameterized decoders upsample back to full resolution with
 inverse-square-distance interpolation over 3 nearest neighbors plus skip
-connections, each exposing its last three layer outputs for feature fusion.
+connections, each exposing its last three layer outputs for feature fusion
+(the mid one as the full-resolution product that its last layer consumes).
 
 All point selections and interpolation weights depend only on coordinates,
 never on parameters, so they are precomputed into a ``BlockGeometry`` that a
@@ -58,11 +59,12 @@ class LayerSpec:
 class DecoderFeatures:
     """Last three decoder layer outputs.
 
-    full: (N_a, 128), mid: (N_b, 128), coarse: (N_c, 256).
+    full: (N_a, 128); mid_up: (N_a, 128), the mid level (N_b points)
+    interpolated to full resolution; coarse: (N_c, 256).
     """
 
     full: ad.Tensor
-    mid: ad.Tensor
+    mid_up: ad.Tensor
     coarse: ad.Tensor
 
 
@@ -201,7 +203,7 @@ class BlockGeometry:
     sa_indices / sa_rel / sa_scale: per encoder layer, the flattened neighbor
     indices, relative neighbor coordinates, and optional density scales.
     fp_mats: interpolation matrices for the three decoder upsampling steps,
-    coarse to full; the last one (mid level to full) also serves fusion.
+    coarse to full.
     fusion_coarse: the interpolation matrix from the coarse decoder level to
     full resolution, for the feature-fusion heads.
     """
@@ -256,16 +258,14 @@ class SetAbstraction:
 
 
 class FeaturePropagation:
-    """Interpolate coarse features up to a fine level, concat skips, and map."""
+    """Concat skip features with coarse features already interpolated up to
+    the skip level, and map."""
 
     def __init__(self, name: str, cin: int, width: int, rng, dtype):
         self.conv = Conv1x1(f"{name}.conv", cin, width, rng, dtype)
 
-    def apply(self, coarse_feats: ad.Tensor, interp: ad.Tensor,
-              skip_feats: ad.Tensor | None) -> ad.Tensor:
-        up = ad.matmul(interp, coarse_feats)
-        h = ad.concat(skip_feats, up) if skip_feats is not None else up
-        return self.conv(h)
+    def apply(self, up: ad.Tensor, skip: ad.Tensor) -> ad.Tensor:
+        return self.conv(ad.concat(skip, up))
 
     def parameters(self):
         return self.conv.parameters()
@@ -306,10 +306,11 @@ class Decoder:
 
     def apply(self, encoded: ad.Tensor, skips, geo: BlockGeometry) -> DecoderFeatures:
         # skips: [input, sa1, sa2, sa3]; geo.levels: [a, b, c, e]
-        f_c = self.fp_coarse.apply(encoded, geo.fp_mats[0], skips[2])
-        f_b = self.fp_mid.apply(f_c, geo.fp_mats[1], skips[1])
-        f_a = self.fp_full.apply(f_b, geo.fp_mats[2], skips[0])
-        return DecoderFeatures(full=f_a, mid=f_b, coarse=f_c)
+        f_c = self.fp_coarse.apply(ad.matmul(geo.fp_mats[0], encoded), skips[2])
+        f_b = self.fp_mid.apply(ad.matmul(geo.fp_mats[1], f_c), skips[1])
+        mid_up = ad.matmul(geo.fp_mats[2], f_b)
+        f_a = self.fp_full.apply(mid_up, skips[0])
+        return DecoderFeatures(full=f_a, mid_up=mid_up, coarse=f_c)
 
     def parameters(self):
         return collect_parameters([self.fp_coarse, self.fp_mid, self.fp_full])

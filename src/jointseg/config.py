@@ -93,7 +93,7 @@ class RunConfig:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.decay_every < 0:
             raise ConfigError(f"decay_every must be >= 0 (0 never decays), got {self.decay_every}")
-        for name in ("batch_size", "iterations", "patience", "num_scenes"):
+        for name in ("batch_size", "iterations", "patience", "num_scenes", "min_block_points"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dtype not in ("float32", "float64"):

@@ -17,7 +17,7 @@ import numpy as np
 
 
 class SceneFormatError(ValueError):
-    """A scene file is malformed; the message carries the byte offset."""
+    """A scene file is malformed; the message says where (byte offset or point index)."""
 
 
 class SceneGenerationError(RuntimeError):
@@ -244,11 +244,13 @@ def split_into_blocks(scene: Scene, block_size: float = 1.0, stride: float = 0.5
     Windows with more candidates than ``points_per_block`` are randomly
     subsampled without replacement; windows with fewer keep every point and
     top up the deficit by sampling with replacement. Windows with fewer than
-    ``min_points`` candidates are discarded, and windows covering exactly the
+    ``min_points`` (at least 1) candidates are discarded, and windows covering exactly the
     same candidate set as an earlier window are dropped as duplicates.
     """
     if scene.num_points == 0:
         raise ValueError("cannot split an empty scene")
+    if min_points < 1:
+        raise ValueError(f"min_points must be >= 1, got {min_points}")
     if rng is None:
         rng = np.random.default_rng(0)
     ex, ey, _ = scene.room_extent
@@ -328,6 +330,17 @@ def save_scene(path, scene: Scene) -> None:
         f.write(scene.instance_ids.astype("<i8").tobytes())
 
 
+def _check_values(extent, points, colors, semantic) -> None:
+    """Reject values no scene can hold, naming the first point that holds one."""
+    if extent.shape != (3,) or not (np.isfinite(extent).all() and (extent > 0).all()):
+        raise SceneFormatError(f"room extent must be three positive, finite values, got {extent.tolist()}")
+    for what, bad in (("non-finite point", ~np.isfinite(points).all(axis=1)),
+                      ("non-finite color", ~np.isfinite(colors).all(axis=1)),
+                      ("negative semantic label", semantic < 0)):
+        if bad.any():
+            raise SceneFormatError(f"{what} at point index {int(bad.argmax())}")
+
+
 def load_scene(path) -> Scene:
     path = str(path)
     if path.endswith(".txt"):
@@ -361,6 +374,7 @@ def load_scene(path) -> Scene:
     inst = np.frombuffer(raw, dtype="<i8")
     if off != len(data):
         raise SceneFormatError(f"{len(data) - off} unexpected trailing bytes at byte {off}")
+    _check_values(extent, points, colors, sem)
     return Scene(points.copy(), colors.copy(), sem.copy(), inst.copy(), extent.copy())
 
 
@@ -390,5 +404,6 @@ def _load_scene_text(path: str) -> Scene:
     rows = np.array([[float(v) for v in line.split()] for line in lines[2: 2 + n]])
     if rows.shape[1] != 8:
         raise SceneFormatError("point lines must have 8 fields")
+    _check_values(extent, rows[:, 0:3], rows[:, 3:6], rows[:, 6])
     return Scene(rows[:, 0:3], rows[:, 3:6], rows[:, 6].astype(np.int64),
                  rows[:, 7].astype(np.int64), extent)

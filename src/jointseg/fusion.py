@@ -1,10 +1,11 @@
 """Multi-layer decoder feature fusion.
 
 Fuses the last three decoder outputs into one refined full-resolution feature
-matrix: the mid and coarse levels are upsampled to full resolution with
-3-nearest-neighbor inverse-square-distance interpolation, the full and mid
-features are concatenated, the coarse features are added element-wise, and a
-single ReLU convolution maps the 256-wide result down to 128.
+matrix: the full features are concatenated with the mid level, which the
+decoder has already upsampled to full resolution for its last layer; the
+coarse level is upsampled here with the same 3-nearest-neighbor
+inverse-square-distance interpolation and added element-wise; and a single
+ReLU convolution maps the 256-wide result down to 128.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ class FeatureFusion:
     def __init__(self, name: str, rng, dtype=np.float32):
         self.conv = Conv1x1(f"{name}.conv", IN_WIDTH, OUT_WIDTH, rng, dtype, activation="relu")
 
-    def apply(self, df: DecoderFeatures, mid_mat: ad.Tensor, coarse_mat: ad.Tensor) -> ad.Tensor:
-        mid_up = ad.matmul(mid_mat, df.mid)           # (N_a, 128)
+    def apply(self, df: DecoderFeatures, coarse_mat: ad.Tensor) -> ad.Tensor:
         coarse_up = ad.matmul(coarse_mat, df.coarse)  # (N_a, 256)
-        stacked = ad.concat(df.full, mid_up)          # (N_a, 256)
+        stacked = ad.concat(df.full, df.mid_up)       # (N_a, 256)
         return self.conv(ad.add(stacked, coarse_up))  # (N_a, 128)
 
     def parameters(self):

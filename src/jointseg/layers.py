@@ -22,7 +22,7 @@ class Conv1x1:
         self.bias = ad.Parameter(f"{name}.bias", np.zeros((1, cout), dtype=dtype))
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
-        return ad.pointwise_conv(x, self.weight.tensor, self.bias.tensor, self.activation)
+        return ad.pointwise_conv(x, self.weight, self.bias, self.activation)
 
     def parameters(self) -> list[ad.Parameter]:
         return [self.weight, self.bias]

@@ -98,19 +98,17 @@ def discriminative_loss(embeddings: ad.Tensor, grouping: InstanceGrouping,
     averaging[owner, np.arange(n_a)] = 1.0 / sizes[owner]
     means = ad.matmul(ad.Tensor(averaging), points)            # (m, K)
 
-    dist = ad.reduce_sum(ad.absolute(ad.sub(ad.gather_rows(means, owner), points)), axis=1)
-    h = ad.relu(ad.add_scalar(dist, -cfg.delta_v))
+    hinges = ad.l1_hinge_squared(ad.gather_rows(means, owner), points, cfg.delta_v)
     weights = (1.0 / (m * sizes[owner]))[None, :].astype(dtype)  # (1, N_a)
-    pull = ad.matmul(ad.Tensor(weights), ad.mul(h, h))
+    pull = ad.matmul(ad.Tensor(weights), hinges)
 
     if m == 1:
         push = ad.Tensor(np.zeros((1, 1), dtype=dtype))
     else:
         first, second = np.triu_indices(m, 1)
-        gap = ad.sub(ad.gather_rows(means, first), ad.gather_rows(means, second))
-        dist = ad.reduce_sum(ad.absolute(gap), axis=1)         # (m(m-1)/2, 1)
-        h = ad.relu(ad.neg(ad.add_scalar(dist, -2 * cfg.delta_d)))
-        push = ad.reduce_mean(ad.mul(h, h), axis=0)
+        hinges = ad.l1_hinge_squared(ad.gather_rows(means, first), ad.gather_rows(means, second),
+                                     2 * cfg.delta_d, below=True)  # (m(m-1)/2, 1)
+        push = ad.reduce_mean(hinges, axis=0)
 
     return DiscriminativeLossTerms(total=ad.add(pull, push), pull=pull, push=push)
 

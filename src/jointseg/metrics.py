@@ -31,7 +31,8 @@ class RegionSet:
     @classmethod
     def from_labels(cls, instance_ids: np.ndarray, categories: np.ndarray) -> "RegionSet":
         """One region per non-negative instance id; the region category is the
-        majority category of its points (ties to the lowest id)."""
+        majority category of its points (ties to the lowest id). Votes are
+        counted per category present, so the ids' magnitude costs nothing."""
         inst = np.asarray(instance_ids)
         cats = np.asarray(categories)
         regions = []
@@ -39,8 +40,9 @@ class RegionSet:
             if u < 0:
                 continue
             mask = inst == u
-            votes = np.bincount(cats[mask])
-            regions.append(Region(frozenset(np.flatnonzero(mask).tolist()), int(votes.argmax())))
+            present, votes = np.unique(cats[mask], return_counts=True)
+            regions.append(Region(frozenset(np.flatnonzero(mask).tolist()),
+                                  int(present[votes.argmax()])))
         return cls(regions, universe=inst.shape[0])
 
 

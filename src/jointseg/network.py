@@ -48,11 +48,11 @@ class SegmentationNetwork:
         x = ad.Tensor(np.asarray(block_features).astype(self.dtype))
         sem_df, ins_df = self.backbone.apply(x, geometry)
         if self.use_fusion:
-            mid, coarse = geometry.fp_mats[2], geometry.fusion_coarse
-            f_sem = self.fusion_sem.apply(sem_df, mid, coarse)
-            f_ins = self.fusion_ins.apply(ins_df, mid, coarse)
+            f_sem = self.fusion_sem.apply(sem_df, geometry.fusion_coarse)
+            f_ins = self.fusion_ins.apply(ins_df, geometry.fusion_coarse)
         else:
             f_sem, f_ins = sem_df.full, ins_df.full
+        del sem_df, ins_df  # without a graph, the head's peak need not hold the decoder outputs
         return self.head(f_sem, f_ins)
 
     def parameters(self) -> list[ad.Parameter]:

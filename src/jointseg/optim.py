@@ -48,4 +48,4 @@ class Adam:
             v *= b2
             v += (1 - b2) * g * g
             update = (lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(p.values.dtype)
-            p.tensor.values = p.values - update
+            p.values = p.values - update

@@ -252,7 +252,7 @@ def grad_check(cfg: RunConfig | None = None, entries_per_param: int = 3,
         grad = p.grad
         if grad is None:
             grad = np.zeros_like(p.values)
-        flat = p.tensor.values.reshape(-1)
+        flat = p.values.reshape(-1)
         n = min(entries_per_param, flat.size)
         picks = rng.choice(flat.size, size=n, replace=False)
         worst = 0.0

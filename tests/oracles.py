@@ -260,14 +260,94 @@ def block_merging_loop(predictions: list[BlockPrediction], scene: Scene, num_cla
 
 
 # ---------------------------------------------------------------------------
-# unfused 1x1 convolution reference
+# general primitives the package no longer calls
+#
+# The fused nodes (``ad.pointwise_conv``, ``ad.l1_hinge_squared``) replaced
+# these in the package; the references below compose them, and tests use
+# ``reduce_sum`` to reduce outputs to a scalar.
+
+def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    ad._check_broadcast(a.shape, b.shape)
+    out = a.values - b.values
+
+    def backprop(g, accum):
+        accum(a, ad._unbroadcast(g, a.shape))
+        accum(b, ad._unbroadcast(-g, b.shape))
+
+    return ad._make(out, (a, b), backprop)
+
+
+def neg(x: ad.Tensor) -> ad.Tensor:
+    def backprop(g, accum):
+        accum(x, -g)
+
+    return ad._make(-x.values, (x,), backprop)
+
+
+def add_scalar(x: ad.Tensor, c: float) -> ad.Tensor:
+    def backprop(g, accum):
+        accum(x, g)
+
+    return ad._make(x.values + c, (x,), backprop)
+
+
+def relu(x: ad.Tensor) -> ad.Tensor:
+    mask = x.values > 0  # subgradient 0 at the kink
+
+    def backprop(g, accum):
+        accum(x, g * mask)
+
+    return ad._make(np.where(mask, x.values, 0), (x,), backprop)
+
+
+def absolute(x: ad.Tensor) -> ad.Tensor:
+    sign = np.sign(x.values)
+
+    def backprop(g, accum):
+        accum(x, g * sign)
+
+    return ad._make(np.abs(x.values), (x,), backprop)
+
+
+def reduce_sum(x: ad.Tensor, axis: int | None = None) -> ad.Tensor:
+    shape = x.shape
+    if axis is None:
+        out = np.array([[x.values.sum()]], dtype=x.dtype)
+
+        def backprop(g, accum):
+            accum(x, np.broadcast_to(np.reshape(g, (1,) * len(shape)), shape))
+
+        return ad._make(out, (x,), backprop)
+
+    if not 0 <= axis < x.values.ndim:
+        raise ad.DimensionError(f"axis {axis} out of range for shape {x.shape}")
+    out = x.values.sum(axis=axis, keepdims=True)
+
+    def backprop(g, accum):
+        accum(x, np.broadcast_to(g, shape))
+
+    return ad._make(out, (x,), backprop)
+
+
+# ---------------------------------------------------------------------------
+# unfused 1x1 convolution and L1 hinge references
 
 def pointwise_conv_unfused(x: ad.Tensor, weight: ad.Tensor, bias: ad.Tensor,
                            activation: str = "relu") -> ad.Tensor:
     """x @ W + b with optional ReLU as three graph nodes (matmul, add, relu);
     ``ad.pointwise_conv`` must equal it bit for bit in values and gradients."""
     out = ad.add(ad.matmul(x, weight), bias)
-    return ad.relu(out) if activation == "relu" else out
+    return relu(out) if activation == "relu" else out
+
+
+def l1_hinge_squared_unfused(a: ad.Tensor, b: ad.Tensor, margin: float,
+                             below: bool = False) -> ad.Tensor:
+    """Per row, relu(±(Σ|a - b| - margin))² as six or seven graph nodes (sub,
+    absolute, reduce_sum, add_scalar, [neg], relu, mul);
+    ``ad.l1_hinge_squared`` must equal it bit for bit in values and gradients."""
+    gap = add_scalar(reduce_sum(absolute(sub(a, b)), axis=1), -margin)
+    h = relu(neg(gap) if below else gap)
+    return ad.mul(h, h)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +359,8 @@ def _hinge_squared_mean(dist: ad.Tensor, margin: float, above: bool) -> ad.Tenso
     ``above=True`` penalizes distances above the margin (pull), ``False``
     penalizes the shortfall below it (push, margin - dist).
     """
-    gap = ad.add_scalar(dist, -margin) if above else ad.neg(ad.add_scalar(dist, -margin))
-    h = ad.relu(gap)
+    gap = add_scalar(dist, -margin) if above else neg(add_scalar(dist, -margin))
+    h = relu(gap)
     return ad.reduce_mean(ad.mul(h, h), axis=0)
 
 
@@ -305,7 +385,7 @@ def discriminative_loss_loop(embeddings: ad.Tensor, grouping: InstanceGrouping,
         inst = ad.gather_rows(embeddings, idx)                 # (N_m, K)
         mu = ad.reduce_mean(inst, axis=0)                      # (1, K)
         means.append(mu)
-        dist = ad.reduce_sum(ad.absolute(ad.sub(mu, inst)), axis=1)  # (N_m, 1)
+        dist = reduce_sum(absolute(sub(mu, inst)), axis=1)     # (N_m, 1)
         pull_terms.append(_hinge_squared_mean(dist, cfg.delta_v, above=True))
 
     pull = pull_terms[0]
@@ -320,7 +400,7 @@ def discriminative_loss_loop(embeddings: ad.Tensor, grouping: InstanceGrouping,
         pair_terms = []
         for i in range(m):
             for j in range(i + 1, m):
-                dist = ad.reduce_sum(ad.absolute(ad.sub(means[i], means[j])), axis=1)
+                dist = reduce_sum(absolute(sub(means[i], means[j])), axis=1)
                 pair_terms.append(_hinge_squared_mean(dist, 2 * cfg.delta_d, above=False))
         push = pair_terms[0]
         for t in pair_terms[1:]:

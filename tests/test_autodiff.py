@@ -5,12 +5,13 @@ import pytest
 
 from jointseg import autodiff as ad
 from jointseg.layers import Conv1x1
-from oracles import fd_grad, max_rel_err, pointwise_conv_unfused
+from oracles import (absolute, add_scalar, fd_grad, l1_hinge_squared_unfused, max_rel_err, neg,
+                     pointwise_conv_unfused, reduce_sum, relu, sub)
 
 
 def scalar_loss(out: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
     """Reduce an op output to a scalar with fixed random weights."""
-    return ad.reduce_sum(ad.mul(out, ad.Tensor(weights)))
+    return reduce_sum(ad.mul(out, ad.Tensor(weights)))
 
 
 def check_op_grad(build, x0: np.ndarray, seed=0, tol=1e-5):
@@ -126,7 +127,52 @@ def test_conv1x1_output_is_one_node():
     x = ad.Tensor(np.ones((5, 3), dtype=np.float32), requires_grad=True)
     out = layer(x)
     assert len(out._parents) == 3
-    assert all(p is q for p, q in zip(out._parents, (x, layer.weight.tensor, layer.bias.tensor)))
+    assert all(p is q for p, q in zip(out._parents, (x, layer.weight, layer.bias)))
+
+
+# ---------------------------------------------------------------------------
+# squared L1 hinge
+
+def hinge_case(dtype, seed=0):
+    """a, b with small integer entries, so every row's L1 distance is an
+    integer: with margin 3 many rows sit exactly at the hinge's kink, and
+    many entries of a - b are exactly 0 (the kink of |.|)."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-1, 2, (60, 3)).astype(dtype)
+    b = rng.integers(-1, 2, (60, 3)).astype(dtype)
+    b[40:] += rng.standard_normal((20, 3)).astype(dtype)
+    return a, b
+
+
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_l1_hinge_squared_equals_unfused_composition(below, dtype):
+    a0, b0 = hinge_case(dtype)
+    dist = np.abs(a0 - b0).sum(axis=1)
+    assert (dist == 3).sum() > 5 and (dist < 3).sum() > 5 and (dist > 3).sum() > 5
+    assert (a0 == b0).sum() > 10
+    probe = np.random.default_rng(1).standard_normal((60, 1)).astype(dtype)
+    results = []
+    for hinge in (ad.l1_hinge_squared, l1_hinge_squared_unfused):
+        a, b = ad.Tensor(a0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+        out = hinge(a, b, 3.0, below=below)
+        ad.backward(scalar_loss(out, probe))
+        results.append((out.values, a.grad, b.grad))
+    fused, unfused = results
+    assert fused[0].shape == (60, 1) and fused[0].dtype == unfused[0].dtype == dtype
+    assert np.all(fused[0][dist == 3] == 0)
+    for got, want in zip(fused, unfused):
+        assert np.array_equal(got, want)
+
+
+def test_l1_hinge_squared_is_one_node_and_checks_shapes():
+    a = ad.Tensor(np.ones((4, 3)), requires_grad=True)
+    b = ad.Tensor(np.zeros((4, 3)))
+    out = ad.l1_hinge_squared(a, b, 1.0)
+    assert np.array_equal(out.values, np.full((4, 1), 4.0))  # (3 - 1)^2
+    assert out._parents == (a, b)
+    with pytest.raises(ad.DimensionError, match=r"\(4, 3\).*\(1, 3\)"):
+        ad.l1_hinge_squared(a, ad.Tensor(np.zeros((1, 3))), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +259,13 @@ def test_concat_gradient_splits_to_inputs():
 
 def test_backward_sum_gives_ones():
     x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    ad.backward(ad.reduce_sum(x))
+    ad.backward(reduce_sum(x))
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_sum_of_squares():
     x = ad.Tensor([[3.0]], requires_grad=True)
-    ad.backward(ad.reduce_sum(ad.mul(x, x)))
+    ad.backward(reduce_sum(ad.mul(x, x)))
     assert np.allclose(x.grad, [[6.0]])
 
 
@@ -234,7 +280,7 @@ def test_backward_accumulates_linearly():
     x0 = rng.standard_normal((3, 3))
 
     def losses(x):
-        return ad.reduce_sum(ad.mul(x, x)), ad.reduce_sum(ad.relu(x))
+        return reduce_sum(ad.mul(x, x)), reduce_sum(relu(x))
 
     x = ad.Tensor(x0, requires_grad=True)
     l1, l2 = losses(x)
@@ -252,7 +298,7 @@ def test_forward_independent_of_recording():
     x0, w0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 2))
 
     def run():
-        return ad.relu(ad.matmul(ad.Tensor(x0, requires_grad=True), ad.Tensor(w0))).values
+        return relu(ad.matmul(ad.Tensor(x0, requires_grad=True), ad.Tensor(w0))).values
 
     recorded = run()
     with ad.no_grad():
@@ -308,21 +354,21 @@ def test_cross_entropy_label_out_of_range():
 PRIMITIVES = {
     "add": lambda x: ad.add(x, ad.Tensor(_const((4, 3), 10))),
     "add_broadcast": lambda x: ad.add(x, ad.Tensor(_const((1, 3), 11))),
-    "sub": lambda x: ad.sub(ad.Tensor(_const((4, 3), 12)), x),
+    "sub": lambda x: sub(ad.Tensor(_const((4, 3), 12)), x),
     "mul": lambda x: ad.mul(x, ad.Tensor(_const((4, 3), 13))),
     "mul_broadcast": lambda x: ad.mul(x, ad.Tensor(_const((4, 1), 14))),
-    "neg": ad.neg,
-    "add_scalar": lambda x: ad.add_scalar(x, 0.7),
+    "neg": neg,
+    "add_scalar": lambda x: add_scalar(x, 0.7),
     "mul_scalar": lambda x: ad.mul_scalar(x, -1.3),
-    "relu": ad.relu,
+    "relu": relu,
     "sigmoid": ad.sigmoid,
-    "absolute": ad.absolute,
+    "absolute": absolute,
     "matmul_left": lambda x: ad.matmul(x, ad.Tensor(_const((3, 2), 15))),
     "matmul_right": lambda x: ad.matmul(ad.Tensor(_const((2, 4), 16)), x),
     "reduce_mean0": lambda x: ad.reduce_mean(x, axis=0),
     "reduce_mean1": lambda x: ad.reduce_mean(x, axis=1),
-    "reduce_sum_all": ad.reduce_sum,
-    "reduce_sum1": lambda x: ad.reduce_sum(x, axis=1),
+    "reduce_sum_all": reduce_sum,
+    "reduce_sum1": lambda x: reduce_sum(x, axis=1),
     "concat_left": lambda x: ad.concat(x, ad.Tensor(_const((4, 2), 17))),
     "gather": lambda x: ad.gather_rows(x, np.array([2, 0, 0, 3, 1])),
     "rowmax": lambda x: ad.rowmax_pool(x, 2),
@@ -330,6 +376,9 @@ PRIMITIVES = {
         x, ad.Tensor(_const((3, 2), 18)), ad.Tensor(_const((1, 2), 19)), "relu"),
     "conv_none": lambda x: ad.pointwise_conv(
         x, ad.Tensor(_const((3, 2), 20)), ad.Tensor(_const((1, 2), 21)), "none"),
+    "l1_hinge_above": lambda x: ad.l1_hinge_squared(x, ad.Tensor(_const((4, 3), 23)), 1.5),
+    "l1_hinge_below": lambda x: ad.l1_hinge_squared(
+        ad.Tensor(_const((4, 3), 24)), x, 4.0, below=True),
 }
 
 
@@ -368,12 +417,12 @@ def test_cross_entropy_gradient():
 def test_rowmax_gradient_flows_only_to_argmax():
     x0 = np.array([[1.0, 5.0], [3.0, 2.0], [0.0, 7.0], [4.0, 1.0]])
     x = ad.Tensor(x0, requires_grad=True)
-    ad.backward(ad.reduce_sum(ad.rowmax_pool(x, 2)))
+    ad.backward(reduce_sum(ad.rowmax_pool(x, 2)))
     assert np.array_equal(x.grad, [[0, 1], [1, 0], [0, 1], [1, 0]])
 
 
 def test_parameter_names_and_init():
     p = ad.Parameter("layer.weight", ad.he_uniform((4, 3), 4, np.random.default_rng(0)))
-    assert p.tensor.requires_grad and p.shape == (4, 3)
+    assert isinstance(p, ad.Tensor) and p.requires_grad and p.shape == (4, 3)
     with pytest.raises(ad.DimensionError):
         p.assign(np.zeros((3, 4)))

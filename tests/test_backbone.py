@@ -9,7 +9,7 @@ from jointseg.backbone import (Backbone, FeaturePropagation, LayerSpec, SetAbstr
                                _distances, ball_group, farthest_point_sampling,
                                interpolation_matrix, nearest_neighbor_interpolation)
 from oracles import (ball_group_sorted, farthest_point_sampling_norm, fd_grad, max_rel_err,
-                     nearest_neighbor_interpolation_sorted)
+                     nearest_neighbor_interpolation_sorted, reduce_sum)
 
 
 def tiny_spec():
@@ -268,8 +268,9 @@ def set_abstraction(sa, feats, coords):
 
 
 def propagate(fp, coarse_feats, coarse_coords, fine_coords, skip_feats):
-    mat = ad.Tensor(interpolation_matrix(fine_coords, coarse_coords))
-    return fp.apply(coarse_feats, mat, skip_feats)
+    """One layer on raw coordinates, upsampling first as the decoder does."""
+    up = ad.matmul(ad.Tensor(interpolation_matrix(fine_coords, coarse_coords)), coarse_feats)
+    return fp.apply(up, skip_feats)
 
 
 def test_set_abstraction_constant_inputs_give_constant_outputs():
@@ -303,11 +304,11 @@ def test_set_abstraction_gradient_matches_finite_differences():
 
     def f(xv):
         out, _ = set_abstraction(sa, ad.Tensor(xv), coords)
-        return ad.reduce_sum(ad.mul(out, ad.Tensor(probe))).item()
+        return reduce_sum(ad.mul(out, ad.Tensor(probe))).item()
 
     x = ad.Tensor(x0, requires_grad=True)
     out, _ = set_abstraction(sa, x, coords)
-    ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe))))
+    ad.backward(reduce_sum(ad.mul(out, ad.Tensor(probe))))
     assert max_rel_err(x.grad, fd_grad(f, x0)) < 1e-5
 
 
@@ -318,7 +319,7 @@ def test_feature_propagation_coincident_point_takes_coarse_feature():
     fp.conv.bias.assign(np.zeros((1, 4)))
     coarse_coords = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
     coarse = ad.Tensor(np.abs(rng.standard_normal((4, 4))) + 0.1)
-    out = propagate(fp, coarse, coarse_coords, coarse_coords[:2], None)
+    out = propagate(fp, coarse, coarse_coords, coarse_coords[:2], ad.Tensor(np.zeros((2, 0))))
     assert np.allclose(out.values, coarse.values[:2], atol=1e-4)
 
 
@@ -335,11 +336,11 @@ def test_feature_propagation_parameter_gradient():
     def f(wv):
         fp.conv.weight.assign(wv)
         out = propagate(fp, ad.Tensor(coarse0), coarse_coords, fine_coords, skip)
-        return ad.reduce_sum(ad.mul(out, ad.Tensor(probe))).item()
+        return reduce_sum(ad.mul(out, ad.Tensor(probe))).item()
 
     fp.conv.weight.assign(w0)
     out = propagate(fp, ad.Tensor(coarse0), coarse_coords, fine_coords, skip)
-    ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe))))
+    ad.backward(reduce_sum(ad.mul(out, ad.Tensor(probe))))
     grad = fp.conv.weight.grad.copy()
     assert max_rel_err(grad, fd_grad(f, w0)) < 1e-5
 
@@ -369,7 +370,21 @@ def test_backbone_output_shapes():
     bb = make_backbone()
     sem, ins = forward_features(bb, block_features())
     assert sem.full.shape == (32, 128) and ins.full.shape == (32, 128)
-    assert sem.mid.shape == (8, 128) and sem.coarse.shape == (4, 256)
+    assert sem.mid_up.shape == (32, 128) and sem.coarse.shape == (4, 256)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mid_up_is_the_mid_level_times_its_interpolation_matrix(dtype):
+    bb = make_backbone(seed=4, dtype=dtype)
+    feats = block_features(seed=4)
+    geo = bb.compute_geometry(feats[:, :3])
+    x = ad.Tensor(feats.astype(dtype))
+    encoded, skips = bb.encoder.apply(x, geo)
+    for dec in (bb.semantic_decoder, bb.instance_decoder):
+        df = dec.apply(encoded, skips, geo)
+        f_b = dec.fp_mid.apply(ad.matmul(geo.fp_mats[1], df.coarse), skips[1])
+        assert df.mid_up.dtype == dtype
+        assert np.array_equal(df.mid_up.values, geo.fp_mats[2].values @ f_b.values)
 
 
 def test_backbone_deterministic_given_seed():
@@ -409,7 +424,7 @@ def test_encoder_gradients_accumulate_from_both_branches():
             p.zero_grad()
         sem, ins = forward_features(bb, feats)
         target = sem.full if branch == "sem" else ins.full
-        ad.backward(ad.reduce_sum(target))
+        ad.backward(reduce_sum(target))
         return enc_param.grad.copy()
 
     g_sem = run("sem")
@@ -417,7 +432,7 @@ def test_encoder_gradients_accumulate_from_both_branches():
     for p in bb.parameters():
         p.zero_grad()
     sem, ins = forward_features(bb, feats)
-    ad.backward(ad.add(ad.reduce_sum(sem.full), ad.reduce_sum(ins.full)))
+    ad.backward(ad.add(reduce_sum(sem.full), reduce_sum(ins.full)))
     assert np.allclose(enc_param.grad, g_sem + g_ins, rtol=1e-9, atol=1e-12)
 
 
@@ -434,8 +449,8 @@ def test_backbone_parameter_gradient_finite_differences():
             probe_holder["p"] = (rng.standard_normal(sem.full.shape),
                                  rng.standard_normal(ins.full.shape))
         ps, pi = probe_holder["p"]
-        return ad.add(ad.reduce_sum(ad.mul(sem.full, ad.Tensor(ps))),
-                      ad.reduce_sum(ad.mul(ins.full, ad.Tensor(pi))))
+        return ad.add(reduce_sum(ad.mul(sem.full, ad.Tensor(ps))),
+                      reduce_sum(ad.mul(ins.full, ad.Tensor(pi))))
 
     for p in bb.parameters():
         p.zero_grad()
@@ -445,7 +460,7 @@ def test_backbone_parameter_gradient_finite_differences():
     h = 1e-5
     for param in [bb.encoder.layers[1].conv2.weight, bb.semantic_decoder.fp_mid.conv.weight,
                   bb.encoder.head.bias]:
-        flat = param.tensor.values.reshape(-1)
+        flat = param.values.reshape(-1)
         for i in rng.choice(flat.size, size=3, replace=False):
             orig = flat[i]
             flat[i] = orig + h

@@ -114,6 +114,13 @@ def test_small_windows_are_discarded():
     assert 200 not in covered and 201 not in covered
 
 
+@pytest.mark.parametrize("min_points", [0, -5])
+def test_min_points_below_one_rejected(min_points):
+    scene = generate_scene(small_spec())
+    with pytest.raises(ValueError, match="min_points must be >= 1"):
+        split_into_blocks(scene, block_size=0.1, stride=0.1, min_points=min_points)
+
+
 def test_center_xy_flag():
     scene = generate_scene(small_spec())
     centered = split_into_blocks(scene, points_per_block=64, center_xy=True,
@@ -187,6 +194,39 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(SceneFormatError, match="trailing"):
         load_scene(path)
+
+
+# fault -> (field, row, set the bad value on a scene)
+SCENE_FAULTS = {
+    "nan_point": ("point", 5, lambda s: s.points.__setitem__((5, 1), np.nan)),
+    "inf_point": ("point", 7, lambda s: s.points.__setitem__((7, 0), np.inf)),
+    "nan_color": ("color", 3, lambda s: s.colors.__setitem__((3, 2), np.nan)),
+    "zero_extent": ("extent", 0, lambda s: s.room_extent.__setitem__(2, 0.0)),
+    "negative_extent": ("extent", 0, lambda s: s.room_extent.__setitem__(0, -1.0)),
+    "inf_extent": ("extent", 0, lambda s: s.room_extent.__setitem__(1, np.inf)),
+    "negative_label": ("label", 4, lambda s: s.semantic_labels.__setitem__(4, -2)),
+}
+
+
+@pytest.mark.parametrize("suffix", [".scene", ".txt"])
+@pytest.mark.parametrize("fault", sorted(SCENE_FAULTS))
+def test_load_rejects_values_no_scene_can_hold(tmp_path, suffix, fault):
+    field, row, spoil = SCENE_FAULTS[fault]
+    scene = generate_scene(small_spec())
+    spoil(scene)
+    path = tmp_path / f"bad{suffix}"
+    save_scene(path, scene)
+    where = "values, got" if field == "extent" else f"at point index {row}$"
+    with pytest.raises(SceneFormatError, match=f"{field}.* {where}"):
+        load_scene(path)
+
+
+def test_load_keeps_negative_instance_ids(tmp_path):
+    scene = generate_scene(small_spec())
+    scene.instance_ids[:3] = -1  # unannotated points are valid
+    path = tmp_path / "scene.scene"
+    save_scene(path, scene)
+    assert np.array_equal(load_scene(path).instance_ids, scene.instance_ids)
 
 
 def test_saving_empty_scene_rejected(tmp_path):

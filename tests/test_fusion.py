@@ -5,7 +5,7 @@ import numpy as np
 from jointseg import autodiff as ad
 from jointseg.backbone import DecoderFeatures, interpolation_matrix
 from jointseg.fusion import FeatureFusion
-from oracles import fd_grad, max_rel_err
+from oracles import fd_grad, max_rel_err, reduce_sum
 
 
 class Coords(NamedTuple):
@@ -16,8 +16,16 @@ class Coords(NamedTuple):
     coarse: np.ndarray
 
 
+class Levels(NamedTuple):
+    """Decoder features of the three levels, each at its own resolution."""
+
+    full: ad.Tensor
+    mid: ad.Tensor
+    coarse: ad.Tensor
+
+
 def make_df(rng, n_full=12, n_mid=6, n_coarse=3, dtype=np.float64):
-    df = DecoderFeatures(
+    df = Levels(
         full=ad.Tensor(rng.standard_normal((n_full, 128)).astype(dtype)),
         mid=ad.Tensor(rng.standard_normal((n_mid, 128)).astype(dtype)),
         coarse=ad.Tensor(rng.standard_normal((n_coarse, 256)).astype(dtype)),
@@ -27,8 +35,10 @@ def make_df(rng, n_full=12, n_mid=6, n_coarse=3, dtype=np.float64):
 
 
 def fuse(ff, df, coords):
-    """Fusion output with the interpolation matrices built from ``coords``."""
-    return ff.apply(df, ad.Tensor(interpolation_matrix(coords.full, coords.mid)),
+    """Fusion output with the interpolation matrices built from ``coords``;
+    the mid level is upsampled first, as the decoder hands it over."""
+    mid_up = ad.matmul(ad.Tensor(interpolation_matrix(coords.full, coords.mid)), df.mid)
+    return ff.apply(DecoderFeatures(full=df.full, mid_up=mid_up, coarse=df.coarse),
                     ad.Tensor(interpolation_matrix(coords.full, coords.coarse)))
 
 
@@ -43,10 +53,9 @@ def test_output_shape_is_fixed_regardless_of_level_sizes():
 def test_all_zero_inputs_give_zero_output():
     rng = np.random.default_rng(2)
     ff = FeatureFusion("ff", rng, dtype=np.float64)
-    df, coords = make_df(np.random.default_rng(3))
-    df.full = ad.Tensor(np.zeros((12, 128)))
-    df.mid = ad.Tensor(np.zeros((6, 128)))
-    df.coarse = ad.Tensor(np.zeros((3, 256)))
+    _, coords = make_df(np.random.default_rng(3))
+    df = Levels(full=ad.Tensor(np.zeros((12, 128))), mid=ad.Tensor(np.zeros((6, 128))),
+                coarse=ad.Tensor(np.zeros((3, 256))))
     assert np.array_equal(fuse(ff, df, coords).values, np.zeros((12, 128)))  # bias starts at zero
 
 
@@ -57,7 +66,7 @@ def test_coincident_levels_reduce_to_identity_interpolation():
     full = rng.standard_normal((8, 128))
     mid = rng.standard_normal((8, 128))
     coarse = rng.standard_normal((8, 256))
-    df = DecoderFeatures(full=ad.Tensor(full), mid=ad.Tensor(mid), coarse=ad.Tensor(coarse))
+    df = Levels(full=ad.Tensor(full), mid=ad.Tensor(mid), coarse=ad.Tensor(coarse))
     out = fuse(ff, df, Coords(coords, coords, coords)).values
     expected = np.maximum(
         (np.concatenate([full, mid], axis=1) + coarse) @ ff.conv.weight.values, 0)
@@ -96,11 +105,11 @@ def test_gradient_reaches_all_three_inputs():
     probe = rng.standard_normal((6, 128))
 
     def loss_with(full_v, mid_v, coarse_v, grads=False):
-        df = DecoderFeatures(
+        df = Levels(
             full=ad.Tensor(full_v, requires_grad=grads),
             mid=ad.Tensor(mid_v, requires_grad=grads),
             coarse=ad.Tensor(coarse_v, requires_grad=grads))
-        return df, ad.reduce_sum(ad.mul(fuse(ff, df, coords), ad.Tensor(probe)))
+        return df, reduce_sum(ad.mul(fuse(ff, df, coords), ad.Tensor(probe)))
 
     f0, m0, c0 = base.full.values, base.mid.values, base.coarse.values
     df, loss = loss_with(f0, m0, c0, grads=True)

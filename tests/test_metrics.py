@@ -197,6 +197,14 @@ def test_report_rendering():
     assert any(line.startswith("mIoU = ") for line in kv)
 
 
+def test_region_category_is_majority_with_ties_to_lowest_and_any_magnitude():
+    huge = 2 ** 62
+    inst = np.array([0, 0, 0, 1, 1, 1, 1, 2, 2, -1])
+    cats = np.array([huge, huge, 3, 7, 5, 5, 7, huge, 1, 0])
+    got = {min(r.indices): r.category for r in RegionSet.from_labels(inst, cats).regions}
+    assert got == {0: huge, 3: 5, 7: 1}
+
+
 def test_region_set_rejects_overlap():
     with pytest.raises(ValueError):
         region_set([({0, 1}, 0), ({1, 2}, 1)])

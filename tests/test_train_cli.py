@@ -74,7 +74,7 @@ def test_config_digest_tracks_content():
 def test_adam_zero_learning_rate_leaves_parameters_unchanged():
     p = ad.Parameter("w", np.ones((3, 3)))
     opt = Adam([p], lr=0.0)
-    p.tensor.grad = np.full((3, 3), 2.0)
+    p.grad = np.full((3, 3), 2.0)
     before = p.values.copy()
     opt.step()
     assert np.array_equal(p.values, before)
@@ -302,6 +302,8 @@ def config_with(tmp_path, lines):
     ["lr_decay = 1.5"], ["lr_decay = inf"],
     # decay schedule, early-stopping patience and scene count
     ["decay_every = -1"], ["patience = 0"], ["patience = -3"], ["num_scenes = 0"],
+    # block-size floor: 0.1 m blocks leave empty windows, which a floor of 0 would keep
+    ["min_block_points = 0", "block_size = 0.1", "stride = 0.1"], ["min_block_points = -5"],
 ])
 def test_cli_rejects_bad_backbone_config_before_training(tmp_path, capsys, lines):
     code = cli.main(["train", "--config", config_with(tmp_path, lines),
@@ -339,7 +341,7 @@ _FIELD_LINES = st.one_of([
     # edge values of the ranged fields whose parsed values are asserted below
     st.tuples(st.sampled_from(["val_fraction", "noise_std", "momentum", "beta2", "lr_decay"]),
               st.sampled_from(["0", "1", "-0.0", "1e-300", "0.999", "-1e-9", "nan", "-inf"])),
-    st.tuples(st.sampled_from(["decay_every", "patience", "num_scenes"]),
+    st.tuples(st.sampled_from(["decay_every", "patience", "num_scenes", "min_block_points"]),
               st.sampled_from(["-3", "-1", "0", "1", "2"])),
 ]).map(lambda kv: f"{kv[0]} = {kv[1]}")
 _JUNK_LINES = st.one_of(
@@ -364,6 +366,7 @@ def test_config_text_parses_or_raises_config_error(fields, junk, random):
     assert 0 <= cfg.momentum < 1 and 0 <= cfg.beta2 < 1
     assert 0 < cfg.lr_decay <= 1
     assert cfg.decay_every >= 0 and cfg.patience >= 1 and cfg.num_scenes >= 1
+    assert cfg.min_block_points >= 1
 
 
 def test_diverged_training_raises_and_writes_no_checkpoint(tmp_path):
@@ -434,6 +437,49 @@ def test_cli_eval_prints_dash_for_class_absent_from_ground_truth(tmp_path, capsy
     out = capsys.readouterr().out
     assert "class 99: - - 0.0000" in out
     assert "nan" not in out
+
+
+def test_cli_eval_scores_a_huge_class_id(tmp_path, capsys):
+    result, scene = write_result(tmp_path, [2 ** 62] * 3)
+    assert cli.main(["eval", "--result", result, "--scene", scene]) == 0
+    assert f"class {2 ** 62}: - - 0.0000" in capsys.readouterr().out
+
+
+# fault -> (set the bad value on a scene, the words that name it)
+SCENE_FAULTS = {
+    "nan_point": (lambda s: s.points.__setitem__((3, 2), np.nan), "non-finite point"),
+    "inf_point": (lambda s: s.points.__setitem__((3, 0), np.inf), "non-finite point"),
+    "zero_extent": (lambda s: s.room_extent.__setitem__(0, 0.0), "room extent"),
+    "negative_label": (lambda s: s.semantic_labels.__setitem__(3, -2), "negative semantic label"),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    run = tmp_path_factory.mktemp("tiny") / "run"
+    return str(train(tiny_config(iterations=2), run).checkpoint_path)
+
+
+@pytest.mark.parametrize("suffix", [".scene", ".txt"])
+@pytest.mark.parametrize("fault", sorted(SCENE_FAULTS))
+def test_cli_rejects_scene_values_on_load(tmp_path, capsys, tiny_checkpoint, fault, suffix):
+    spoil, words = SCENE_FAULTS[fault]
+    scene = generate_scene(tiny_config().scene_spec(0))
+    spoil(scene)
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    scene_path = str(scenes / f"scene_000{suffix}")
+    save_scene(scene_path, scene)
+    cfg_path = write_config(tmp_path / "c.cfg", tiny_config(data_dir=str(scenes), iterations=2))
+    result, _ = write_result(tmp_path, [])
+    for argv in (["train", "--config", cfg_path, "--out", str(tmp_path / "run")],
+                 ["infer", "--config", cfg_path, "--checkpoint", tiny_checkpoint,
+                  "--scene", scene_path, "--out", str(tmp_path / "pred")],
+                 ["eval", "--result", result, "--scene", scene_path]):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_DATA, argv[0]
+        assert words in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.ckpt").exists() and not (tmp_path / "pred").exists()
 
 
 def test_cli_checkpoint_error_exit_code(tmp_path):
