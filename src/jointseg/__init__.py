@@ -8,7 +8,7 @@ from .fusion import FeatureFusion
 from .inference import BlockPrediction, MeanShiftConfig, SceneSegmentation, block_merging, mean_shift, predict_block, segment_scene
 from .joint import JointSegmentationHead
 from .losses import InstanceGrouping, LossConfig, discriminative_loss, total_loss
-from .metrics import MetricsReport, RegionSet, coverage, evaluate, iou, precision_recall, semantic_scores
+from .metrics import MetricsReport, RegionSet, coverage, evaluate, precision_recall, semantic_scores
 from .network import SegmentationNetwork
 from .train import grad_check, train
 

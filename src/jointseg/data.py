@@ -400,10 +400,20 @@ def _load_scene_text(path: str) -> Scene:
         raise SceneFormatError("scene file declares zero points")
     if len(lines) < 2 + n:
         raise SceneFormatError(f"truncated scene file: {len(lines) - 2} of {n} point lines")
-    extent = np.array([float(v) for v in lines[1].split()[1:4]])
-    rows = np.array([[float(v) for v in line.split()] for line in lines[2: 2 + n]])
-    if rows.shape[1] != 8:
-        raise SceneFormatError("point lines must have 8 fields")
-    _check_values(extent, rows[:, 0:3], rows[:, 3:6], rows[:, 6])
-    return Scene(rows[:, 0:3], rows[:, 3:6], rows[:, 6].astype(np.int64),
-                 rows[:, 7].astype(np.int64), extent)
+    try:
+        extent = np.array([float(v) for v in lines[1].split()[1:4]])
+    except ValueError as e:
+        raise SceneFormatError(f"line 2: {e}") from e
+    values = np.empty((n, 6))
+    labels = np.empty((2, n), dtype=np.int64)
+    for i, line in enumerate(lines[2: 2 + n], start=3):
+        fields = line.split()
+        if len(fields) != 8:
+            raise SceneFormatError(f"line {i}: point lines must have 8 fields, got {len(fields)}")
+        try:
+            values[i - 3] = [float(v) for v in fields[:6]]
+            labels[:, i - 3] = [int(v) for v in fields[6:]]  # int() refuses a fractional label
+        except (ValueError, OverflowError) as e:
+            raise SceneFormatError(f"line {i}: {e}") from e
+    _check_values(extent, values[:, 0:3], values[:, 3:6], labels[0])
+    return Scene(values[:, 0:3], values[:, 3:6], labels[0], labels[1], extent)

@@ -12,6 +12,7 @@ from jointseg import autodiff as ad
 from jointseg.data import Scene
 from jointseg.inference import BlockPrediction, SceneSegmentation
 from jointseg.losses import DiscriminativeLossTerms, InstanceGrouping, LossConfig
+from jointseg.metrics import MetricsReport
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -99,6 +100,89 @@ def semantic_scores_loops(pred, gt):
             accs.append(tp / (tp + fn))
         ious.append(tp / (tp + fp + fn))
     return oacc, sum(accs) / len(accs), sum(ious) / len(ious)
+
+
+# ---------------------------------------------------------------------------
+# set-based metric reference: the frozenset-per-region implementation that
+# jointseg.metrics replaced; evaluate_sets must equal evaluate bit for bit
+
+def regions_from_labels(instance_ids, categories) -> list[tuple[frozenset, int]]:
+    """(indices, majority category) per non-negative instance id, ties to the
+    lowest category."""
+    inst = np.asarray(instance_ids)
+    cats = np.asarray(categories)
+    regions = []
+    for u in np.unique(inst):
+        if u < 0:
+            continue
+        mask = inst == u
+        present, votes = np.unique(cats[mask], return_counts=True)
+        regions.append((frozenset(np.flatnonzero(mask).tolist()), int(present[votes.argmax()])))
+    return regions
+
+
+def iou_sets(a, b) -> float:
+    union = len(a | b)
+    return len(a & b) / union if union else 0.0
+
+
+def coverage_sets(gt_regions, pred_regions, weighted: bool) -> float:
+    best = [max((iou_sets(g, p) for p, _ in pred_regions), default=0.0) for g, _ in gt_regions]
+    if not weighted:
+        return float(np.mean(best))
+    sizes = np.array([len(g) for g, _ in gt_regions], dtype=np.float64)
+    return float((sizes / sizes.sum()) @ np.array(best))
+
+
+def precision_recall_sets(gt_regions, pred_regions, threshold: float = 0.5):
+    """Greedy same-class matching over pairs sorted by (-IoU, prediction, gt)."""
+    per_class: dict[int, tuple[float, float]] = {}
+    for c in sorted({gc for _, gc in gt_regions}):
+        gts = [g for g, gc in gt_regions if gc == c]
+        preds = [p for p, pc in pred_regions if pc == c]
+        pairs = sorted(((iou_sets(p, g), pi, gi)
+                        for pi, p in enumerate(preds) for gi, g in enumerate(gts)),
+                       key=lambda t: (-t[0], t[1], t[2]))
+        used_p: set[int] = set()
+        used_g: set[int] = set()
+        tp = 0
+        for value, pi, gi in pairs:
+            if pi in used_p or gi in used_g:
+                continue
+            used_p.add(pi)
+            used_g.add(gi)
+            if value >= threshold:
+                tp += 1
+        per_class[c] = (tp / len(preds) if preds else 0.0, tp / len(gts))
+    mp = float(np.mean([v[0] for v in per_class.values()]))
+    mr = float(np.mean([v[1] for v in per_class.values()]))
+    return mp, mr, per_class
+
+
+def semantic_scores_masks(pred, gt):
+    """(oAcc, mAcc, mIoU, per-class IoU) from one pair of boolean masks per class."""
+    pred = np.asarray(pred).ravel()
+    gt = np.asarray(gt).ravel()
+    oacc = float((pred == gt).mean())
+    accs = []
+    ious: dict[int, float] = {}
+    for c in np.unique(np.concatenate([gt, pred])):
+        in_gt = gt == c
+        in_pred = pred == c
+        tp = int((in_gt & in_pred).sum())
+        if in_gt.any():
+            accs.append(tp / int(in_gt.sum()))
+        ious[int(c)] = tp / int((in_gt | in_pred).sum())
+    return oacc, float(np.mean(accs)), float(np.mean(list(ious.values()))), ious
+
+
+def evaluate_sets(gt_instances, gt_classes, pred_instances, pred_classes) -> MetricsReport:
+    gt = regions_from_labels(gt_instances, gt_classes)
+    pred = regions_from_labels(pred_instances, pred_classes)
+    mp, mr, per_class = precision_recall_sets(gt, pred)
+    oacc, macc, miou, ious = semantic_scores_masks(pred_classes, gt_classes)
+    return MetricsReport(coverage_sets(gt, pred, False), coverage_sets(gt, pred, True),
+                         mp, mr, oacc, macc, miou, per_class, ious)
 
 
 def random_region_sets(rng: np.random.Generator, max_points: int = 30, max_regions: int = 5,

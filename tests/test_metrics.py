@@ -1,33 +1,13 @@
 import numpy as np
 import pytest
 
-from jointseg.metrics import (Region, RegionSet, coverage, evaluate, iou,
-                              precision_recall, semantic_scores)
-from oracles import (coverage_loops, precision_recall_loops, random_region_sets,
+from jointseg.metrics import Region, RegionSet, coverage, evaluate, precision_recall, semantic_scores
+from oracles import (coverage_loops, evaluate_sets, precision_recall_loops, random_region_sets,
                      semantic_scores_loops)
 
 
 def region_set(regions, universe=30):
     return RegionSet([Region(frozenset(r), c) for r, c in regions], universe)
-
-
-# ---------------------------------------------------------------------------
-# iou
-
-def test_iou_identical_sets():
-    assert iou({1, 2, 3}, {1, 2, 3}) == 1.0
-
-
-def test_iou_disjoint_sets():
-    assert iou({1, 2}, {3, 4}) == 0.0
-
-
-def test_iou_hand_count():
-    assert iou({1, 2, 3}, {2, 3, 4}) == 0.5
-
-
-def test_iou_both_empty():
-    assert iou(set(), set()) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +181,71 @@ def test_region_category_is_majority_with_ties_to_lowest_and_any_magnitude():
     huge = 2 ** 62
     inst = np.array([0, 0, 0, 1, 1, 1, 1, 2, 2, -1])
     cats = np.array([huge, huge, 3, 7, 5, 5, 7, huge, 1, 0])
-    got = {min(r.indices): r.category for r in RegionSet.from_labels(inst, cats).regions}
-    assert got == {0: huge, 3: 5, 7: 1}
+    regions = RegionSet.from_labels(inst, cats)
+    assert regions.labels.tolist() == [0, 0, 0, 1, 1, 1, 1, 2, 2, -1]
+    assert regions.categories.tolist() == [huge, 5, 1]
 
 
 def test_region_set_rejects_overlap():
     with pytest.raises(ValueError):
         region_set([({0, 1}, 0), ({1, 2}, 1)])
+
+
+@pytest.mark.parametrize("indices", [{-1, 0}, {29, 30}, {1000}])
+def test_region_set_rejects_indices_outside_universe(indices):
+    with pytest.raises(ValueError, match="outside"):
+        region_set([({2, 3}, 0), (indices, 1)])
+
+
+def test_scores_reject_region_sets_over_different_universes():
+    with pytest.raises(ValueError, match="length mismatch"):
+        coverage(region_set([({0, 1}, 0)], 4), region_set([({0, 1}, 0)], 5))
+
+
+# ---------------------------------------------------------------------------
+# exact equality with the set-based reference
+
+def random_labels(rng: np.random.Generator, n: int):
+    """(gt instances, gt classes, pred instances, pred classes) over n points.
+
+    Ids come from small pools of instance ids up to 10**6 and class ids up to
+    2**40, so small regions tie in IoU and in their majority vote. About a
+    fifth of the points are -1, and the prediction copies a random share of
+    the ground truth under a relabeling and draws the rest afresh."""
+    inst_pool = rng.choice(10 ** 6 + 1, size=int(rng.integers(1, 6)), replace=False)
+    cls_pool = rng.choice(2 ** 40 + 1, size=int(rng.integers(1, 4)), replace=False)
+    gt_inst = np.where(rng.random(n) < 0.2, -1, inst_pool[rng.integers(0, inst_pool.size, n)])
+    gt_inst[rng.integers(0, n)] = inst_pool[0]  # the ground truth is never empty
+    gt_cls = cls_pool[rng.integers(0, cls_pool.size, n)]
+    relabel = dict(zip(inst_pool.tolist(), rng.choice(10 ** 6 + 1, size=inst_pool.size).tolist()))
+    copied = np.array([relabel.get(i, -1) for i in gt_inst.tolist()])
+    fresh = np.where(rng.random(n) < 0.2, -1, inst_pool[rng.integers(0, inst_pool.size, n)])
+    keep = rng.random(n) < rng.random()
+    pred_cls = np.where(rng.random(n) < rng.random(), gt_cls, cls_pool[rng.integers(0, cls_pool.size, n)])
+    return gt_inst, gt_cls, np.where(keep, copied, fresh), pred_cls
+
+
+def test_evaluate_equals_set_based_reference_exactly():
+    rng = np.random.default_rng(6)
+    cases = [random_labels(rng, int(rng.integers(1, 40))) for _ in range(1000)]
+    big = 2 ** 40
+    cases += [
+        # gt 0 meets preds 5 and 7 at IoU 0.5 each: the earlier prediction wins
+        (np.array([0, 0, 0, 0, 1, 1]), np.zeros(6, int), np.array([5, 5, 7, 7, -1, -1]), np.zeros(6, int)),
+        # pred 3 meets gts 0 and 1 at IoU 0.5 each: the earlier gt wins
+        (np.array([0, 0, 1, 1]), np.zeros(4, int), np.full(4, 3), np.zeros(4, int)),
+        # two-two majority ties between a huge and a small class id
+        (np.array([4, 4, 4, 4]), np.array([big, big, 7, 7]), np.array([9, 9, 9, 9]), np.array([7, big, 7, big])),
+    ]
+    for gt_inst, gt_cls, _, pred_cls in cases[:50]:  # a prediction with every point -1
+        cases.append((gt_inst, gt_cls, np.full(gt_inst.size, -1), pred_cls))
+    # a dense scene: 29k points, 6 true instances, about 60 predicted regions
+    gt_inst = rng.integers(0, 6, 29_000)
+    pred_inst = np.where(gt_inst < 2, gt_inst, 20 * gt_inst + rng.integers(0, 15, gt_inst.size))
+    pred_inst[rng.random(gt_inst.size) < 0.05] = -1
+    gt_cls = gt_inst % 3 * big
+    cases.append((gt_inst, gt_cls, pred_inst, np.where(rng.random(gt_inst.size) < 0.9, gt_cls, 1)))
+    assert np.unique(pred_inst[pred_inst >= 0]).size == 62
+    for gt_inst, gt_cls, pred_inst, pred_cls in cases:
+        assert evaluate(gt_inst, gt_cls, pred_inst, pred_cls) == \
+            evaluate_sets(gt_inst, gt_cls, pred_inst, pred_cls)

@@ -360,6 +360,10 @@ def test_config_text_parses_or_raises_config_error(fields, junk, random):
         cfg = parse_config_text("\n".join(lines))
     except ConfigError:
         return
+    assert_config_invariants(cfg)
+
+
+def assert_config_invariants(cfg):
     assert isinstance(cfg, RunConfig)
     assert 0 < cfg.val_fraction < 1
     assert math.isfinite(cfg.noise_std) and cfg.noise_std >= 0
@@ -367,6 +371,20 @@ def test_config_text_parses_or_raises_config_error(fields, junk, random):
     assert 0 < cfg.lr_decay <= 1
     assert cfg.decay_every >= 0 and cfg.patience >= 1 and cfg.num_scenes >= 1
     assert cfg.min_block_points >= 1
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+def test_config_field_at_an_edge_value_parses_or_raises_config_error(field):
+    # one field moved from its default, every other field left valid, so a
+    # single unchecked range cannot hide behind another field's error
+    default = getattr(RunConfig(), field)
+    for edge in ["0", "-1", "nan", "inf", "-inf", "1e300", "1000000000000"]:
+        value = ",".join([edge] * len(default)) if isinstance(default, tuple) else edge
+        try:
+            cfg = parse_config_text(f"{field} = {value}")
+        except ConfigError:
+            continue
+        assert_config_invariants(cfg)
 
 
 def test_diverged_training_raises_and_writes_no_checkpoint(tmp_path):
@@ -480,6 +498,35 @@ def test_cli_rejects_scene_values_on_load(tmp_path, capsys, tiny_checkpoint, fau
         assert cli.main(argv) == cli.EXIT_DATA, argv[0]
         assert words in capsys.readouterr().err
     assert not (tmp_path / "run" / "model.ckpt").exists() and not (tmp_path / "pred").exists()
+
+
+# a .txt scene line -> (its line number, how to spoil its fields)
+TEXT_FAULTS = {
+    "non_numeric_field": (4, lambda f: f[:2] + ["x"] + f[3:]),
+    "short_row": (4, lambda f: f[:7]),
+    "fractional_label": (4, lambda f: f[:6] + ["0.7"] + f[7:]),
+    "fractional_instance": (5, lambda f: f[:7] + ["1.5"]),
+    "non_numeric_extent": (2, lambda f: f[:2] + ["x"] + f[3:]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TEXT_FAULTS))
+def test_cli_rejects_bad_text_scene_naming_the_line(tmp_path, capsys, tiny_checkpoint, fault):
+    line, spoil = TEXT_FAULTS[fault]
+    scene_path = tmp_path / "scene.txt"
+    save_scene(str(scene_path), generate_scene(tiny_config().scene_spec(0)))
+    lines = scene_path.read_text().splitlines()
+    lines[line - 1] = " ".join(spoil(lines[line - 1].split()))
+    scene_path.write_text("\n".join(lines) + "\n")
+    cfg_path = write_config(tmp_path / "c.cfg", tiny_config())
+    result, _ = write_result(tmp_path, [])
+    for argv in (["infer", "--config", cfg_path, "--checkpoint", tiny_checkpoint,
+                  "--scene", str(scene_path), "--out", str(tmp_path / "pred")],
+                 ["eval", "--result", result, "--scene", str(scene_path)]):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_DATA, argv[0]
+        assert f"line {line}: " in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
 
 
 def test_cli_checkpoint_error_exit_code(tmp_path):
