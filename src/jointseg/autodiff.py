@@ -359,7 +359,7 @@ def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor, activation: str = "r
     out = xv @ wv + bias.values
     mask = out > 0 if activation == "relu" else None
     if mask is not None:
-        out = np.where(mask, out, 0)
+        out = np.fmax(out, 0)  # the bits of np.where(mask, out, 0), NaN and -0.0 included
 
     def backprop(g, accum):
         gm = g if mask is None else g * mask

@@ -98,8 +98,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if not (self.block_size > 0 and self.stride > 0):
-            raise ConfigError(f"block_size and stride must be positive, got {self.block_size}, {self.stride}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.block_size, self.stride)):
+            raise ConfigError(f"block_size and stride must be positive and finite, "
+                              f"got {self.block_size}, {self.stride}")
         if self.voxel_divisions < 1:
             raise ConfigError(f"voxel_divisions must be >= 1, got {self.voxel_divisions}")
         if not 0 < self.overlap_threshold <= 1:

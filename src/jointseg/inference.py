@@ -1,8 +1,13 @@
 """Test-time pipeline: argmax semantics, mean-shift instance clustering, and
 cross-block merging into scene-level labels.
 
-Mean-shift uses a flat kernel with every point as a seed; converged modes
-within half a bandwidth are unified and every point joins its nearest mode.
+Mean-shift uses a flat kernel seeded once per occupied cell of a grid whose
+spacing is the bandwidth, as scikit-learn's ``bin_seeding`` does, but from the
+cell's lexicographically smallest member point rather than the cell's grid
+position, so every seed's window holds at least that point. Cells are keyed
+by ``round(p / bw)``, so the labels depend on the grid's origin: translating
+the points can move cell edges and change the seeds. Converged modes within
+half a bandwidth are unified and every point joins its nearest mode.
 It runs in chunks of ``_CHUNK`` rows, so its memory is O(``_CHUNK`` · n · K)
 instead of O(n² · K). Seeds that share a position are stepped once, found by
 one ``lexsort`` per iteration that also orders them along the points' widest
@@ -32,8 +37,9 @@ from .data import Scene, split_into_blocks
 
 # Rows (seeds or points) per chunk. Each chunk's temporaries are a few
 # (_CHUNK, n) arrays at most: the tracemalloc peak of mean_shift on a 4096 x 5
-# block is 3.8 MB on trained embeddings and 8.1 MB on Gaussian noise, whose
-# 2370 modes widen the final nearest-mode step.
+# block is 3.3 MB on trained embeddings (69 seeds) and 7.6 MB on Gaussian
+# noise, whose 3305 seeds end in 2232 modes that widen the final nearest-mode
+# step.
 _CHUNK = 64
 # Uncovered points per chunk of the nearest-voxel query. A chunk's temporaries
 # are a few (_NEAREST_ROWS, L) arrays over the L labeled voxels, 1.4 MB each
@@ -145,25 +151,51 @@ def _distinct_rows(rows: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray,
     return rows[first], first, inverse
 
 
+def _cell_seeds(pts: np.ndarray, bw: float) -> np.ndarray:
+    """One seed per occupied cell of the grid of spacing ``bw``, keyed by
+    ``round(p / bw)``: the cell's lexicographically smallest member point,
+    cells in key order (first column first, as ``np.unique(keys, axis=0)``
+    orders them; 0.0 and −0.0 alike). One stable ``lexsort`` over the keys,
+    then the points, puts each cell's smallest member first in its run.
+
+    A key that overflows means bw is finer than the float spacing of the
+    points by hundreds of orders of magnitude; every point seeds then, in
+    point order, rather than letting the infinite keys merge cells."""
+    with np.errstate(over="ignore"):
+        keys = np.round(pts / bw)
+    if not np.isfinite(keys).all():
+        return pts.copy()
+    perm = np.lexsort(np.vstack([pts.T[::-1], keys.T[::-1]]))
+    keys = keys[perm]
+    starts = np.ones(len(pts), dtype=bool)
+    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return pts[perm[starts]]
+
+
 def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np.ndarray]:
     """Cluster points with flat-kernel mean-shift.
 
     Returns (labels, modes); labels are dense ids ordered by descending mode
     support (points within one bandwidth of the mode), ties by seed index.
 
-    Every point seeds a mode. Each iteration groups the still-moving seeds by
-    position with one ``lexsort``, in order along the window's pruning axis,
-    and moves each distinct position, ``_CHUNK`` at a time, to the mean of the
-    points within one bandwidth. A chunk of centres that lie close together on
-    that axis is tested only against the points near them on it. Support,
-    merging and the final nearest-mode assignment run over distinct modes and
-    chunks of points. No temporary exceeds ``_CHUNK`` · n · K floats. The window
-    and merge tests decide every pair as the direct distance expressions do,
-    and window sums run over the members in their original order, so the
-    result is that of the unchunked computation, except that BLAS may round a
-    chunk's window sums differently from a full-size product: float64 modes
-    can then differ in their last bits, while float32-valued embeddings sum
-    exactly.
+    Each occupied cell of the grid of spacing bw, keyed by ``round(p / bw)``,
+    seeds one mode at its lexicographically smallest member point, and seeds
+    are indexed in cell-key order (``_cell_seeds``). A member seed always lies
+    in its own window, so a point alone in its cell keeps its own mode. The
+    partition depends on the grid's origin: a translation that moves points
+    across cell edges changes the seeds, and with them the modes that survive
+    the merge. Each iteration groups the still-moving seeds by position with
+    one ``lexsort``, in order along the window's pruning axis, and moves each
+    distinct position, ``_CHUNK`` at a time, to the mean of the points within
+    one bandwidth. A chunk of centres that lie close together on that axis is
+    tested only against the points near them on it. Support, merging and the
+    final nearest-mode assignment run over distinct modes and chunks of points.
+    No temporary exceeds ``_CHUNK`` · n · K floats. The window and merge tests
+    decide every pair as the direct distance expressions do, and window sums
+    run over the members in their original order, so the result is that of the
+    unchunked computation, except that BLAS may round a chunk's window sums
+    differently from a full-size product: float64 modes can then differ in
+    their last bits, while float32-valued embeddings sum exactly.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -174,8 +206,8 @@ def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np
     window = _Window(pts, cfg.bandwidth ** 2)
     pts_1 = np.hstack([pts, np.ones((n, 1))])
 
-    modes = pts.copy()  # one seed per point
-    active = np.ones(n, dtype=bool)
+    modes = _cell_seeds(pts, cfg.bandwidth)
+    active = np.ones(len(modes), dtype=bool)
     for _ in range(cfg.max_iter):
         idx = np.flatnonzero(active)
         if idx.size == 0:

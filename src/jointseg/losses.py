@@ -26,8 +26,8 @@ class LossConfig:
     delta_d: float = 1.5
 
     def __post_init__(self):
-        if not (self.delta_d > self.delta_v > 0):
-            raise ValueError(f"need delta_d > delta_v > 0, got {self.delta_v}, {self.delta_d}")
+        if not (np.isfinite(self.delta_d) and self.delta_d > self.delta_v > 0):
+            raise ValueError(f"need finite delta_d > delta_v > 0, got {self.delta_v}, {self.delta_d}")
 
 
 @dataclass

@@ -210,17 +210,35 @@ def random_region_sets(rng: np.random.Generator, max_points: int = 30, max_regio
 # ---------------------------------------------------------------------------
 # dense mean-shift reference
 
-def mean_shift_dense(points: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-kernel mean-shift over the full (n, n, K) difference tensor: every
-    seed stepped separately, every copy of a mode kept until the merge."""
+def bin_seeds(pts: np.ndarray, bandwidth: float) -> np.ndarray:
+    """One seed per occupied cell of the grid of spacing ``bandwidth``, keyed by
+    the rounded tuple ``round(p / bandwidth)``: the first lexicographically
+    smallest member of the cell, cells in ascending key order; every point,
+    in point order, if some key overflows."""
+    cells: dict[tuple, np.ndarray] = {}
+    for p in pts:
+        with np.errstate(over="ignore"):
+            key = tuple(np.round(p / bandwidth))
+        if not all(map(np.isfinite, key)):
+            return pts.copy()
+        if key not in cells or tuple(p) < tuple(cells[key]):
+            cells[key] = p
+    return np.array([cells[key] for key in sorted(cells)])
+
+
+def mean_shift_dense(points: np.ndarray, cfg, every_point: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Flat-kernel mean-shift over the full (m, n, K) difference tensor of the
+    m seeds: every seed stepped separately, every copy of a mode kept until
+    the merge. Seeds are ``bin_seeds``, or every point if ``every_point``."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError(f"points must be (N, K) with N >= 1, got {pts.shape}")
-    n = pts.shape[0]
     bw2 = cfg.bandwidth ** 2
 
-    modes = pts.copy()  # one seed per point
-    active = np.ones(n, dtype=bool)
+    modes = pts.copy() if every_point else bin_seeds(pts, cfg.bandwidth)
+    m = len(modes)
+    active = np.ones(m, dtype=bool)
     for _ in range(cfg.max_iter):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -234,7 +252,7 @@ def mean_shift_dense(points: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:
         active[idx[shift < cfg.tol]] = False
 
     support = (((modes[:, None, :] - pts[None, :, :]) ** 2).sum(-1) <= bw2).sum(axis=1)
-    order = np.lexsort((np.arange(n), -support))  # support desc, seed index asc
+    order = np.lexsort((np.arange(m), -support))  # support desc, seed index asc
     merge_r = cfg.bandwidth / 2
     kept: list[int] = []
     for i in order:

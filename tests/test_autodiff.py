@@ -123,6 +123,48 @@ def test_pointwise_conv_equals_unfused_composition(activation, dtype, x_grad):
         assert got is want is None or np.array_equal(got, want)
 
 
+def special_values(dtype):
+    """±0, ±NaN, ±inf, the smallest and largest ± subnormals and ±1.5."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    big = np.finfo(dtype).smallest_normal - tiny
+    v = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, big, -big, 1.5, -1.5],
+                 dtype=dtype)
+    assert np.signbit(v[3]) and not np.signbit(v[2])  # both NaN signs present
+    return v
+
+
+def bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pointwise_conv_relu_keeps_the_bits_of_where_on_special_values(dtype):
+    # the ReLU is np.fmax(out, 0); it must give the bits of
+    # np.where(out > 0, out, 0), which maps -0.0 and NaN to +0.0,
+    # at every array length (SIMD bodies and scalar tails alike)
+    v = special_values(dtype)
+    for n in range(1, 3 * len(v) + 1):
+        pre = np.resize(v, n)
+        got = np.fmax(pre, 0)
+        assert got.dtype == dtype
+        assert np.array_equal(bits(got), bits(np.where(pre > 0, pre, 0)))
+    # through the node, against the three-node reference with its np.where
+    x0 = v[:, None]
+    w0 = np.ones((1, 4), dtype=dtype)
+    results = []
+    for conv in (ad.pointwise_conv, pointwise_conv_unfused):
+        x = ad.Tensor(x0, requires_grad=True)
+        w = ad.Tensor(w0, requires_grad=True)
+        b = ad.Tensor(np.full((1, 4), -0.0, dtype=dtype), requires_grad=True)
+        with np.errstate(invalid="ignore"):  # W's gradient sums NaN and inf inputs
+            out = conv(x, w, b, "relu")
+            ad.backward(scalar_loss(out, np.ones((len(v), 4), dtype=dtype)))
+        results.append((out.values, x.grad, w.grad, b.grad))
+    fused, unfused = results
+    for got, want in zip(fused, unfused):
+        assert np.array_equal(bits(got), bits(want))
+
+
 def test_conv1x1_output_is_one_node():
     layer = Conv1x1("c", 3, 4, np.random.default_rng(0))
     x = ad.Tensor(np.ones((5, 3), dtype=np.float32), requires_grad=True)

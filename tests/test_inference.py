@@ -78,6 +78,8 @@ def test_permutation_invariance_up_to_renaming():
 
 
 def test_translation_invariance():
+    # cell edges move with the translation, but every seed of a tight blob
+    # still converges to the blob's mean
     rng = np.random.default_rng(3)
     pts, _ = planted_blobs(rng, [np.zeros(3), np.full(3, 3.0)])
     a, _ = mean_shift(pts, CFG)
@@ -302,6 +304,105 @@ def test_float64_points_match_dense_to_rounding():
     assert np.array_equal(labels, ref_labels)
     assert centers.shape == ref_centers.shape
     assert np.allclose(centers, ref_centers, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bin seeding: one seed per occupied bandwidth cell, at a member point
+
+def test_blob_centred_on_a_cell_corner_is_one_cluster():
+    # centred at k·bw + bw/2 on every axis: its points fall into 2⁵ cells,
+    # whose seeds all converge to the blob's mean
+    rng = np.random.default_rng(19)
+    bw = CFG.bandwidth
+    centre = np.array([3, -2, 0, 5, 1]) * bw + bw / 2
+    pts = (centre + rng.normal(0, 0.05, (200, 5))).astype(np.float32)
+    assert np.unique(np.round(pts / bw), axis=0).shape[0] == 32
+    labels, modes = mean_shift(pts, CFG)
+    assert np.array_equal(labels, np.zeros(200))
+    assert modes.shape == (1, 5)
+    assert np.allclose(modes[0], pts.mean(axis=0))
+    assert_matches_dense(pts)
+
+
+def test_lone_point_off_the_grid_is_its_own_mode():
+    # the cell's grid position (the origin) lies 0.29·√5 ≈ 0.65 > bw from the
+    # point, so a seed there would have an empty window
+    lone = np.full((1, 5), 0.29)
+    labels, modes = mean_shift(lone, CFG)
+    assert labels.tolist() == [0]
+    assert np.array_equal(modes, lone)
+    rng = np.random.default_rng(20)
+    pts = np.concatenate([lone, 4.0 + rng.normal(0, 0.05, (30, 5))]).astype(np.float32)
+    labels, modes = mean_shift(pts, CFG)
+    assert modes.shape[0] == 2
+    assert np.array_equal(modes[labels[0]], pts[0])
+    assert np.bincount(labels).tolist() == [30, 1]
+    assert_matches_dense(pts)
+
+
+def test_every_distinct_point_is_its_own_mode_at_a_tiny_bandwidth():
+    cfg = MeanShiftConfig(bandwidth=1e-300)
+    pts = np.random.default_rng(21).standard_normal((50, 3))
+    labels, modes = mean_shift(pts, cfg)
+    assert modes.shape == (50, 3)
+    assert np.array_equal(np.sort(labels), np.arange(50))
+    assert np.array_equal(modes[labels], pts)
+    # duplicates share their point's mode
+    labels, modes = mean_shift(np.concatenate([pts, pts[:7]]), cfg)
+    assert modes.shape == (50, 3)
+    assert np.array_equal(labels[50:], labels[:7])
+    assert_matches_dense(pts, cfg)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-310, 1e-300])
+def test_overflowing_cell_keys_seed_every_point(bandwidth):
+    # |p| / bw overflows to inf for the larger points; infinite keys must not
+    # merge their cells
+    pts = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [1e10, 0.0], [2e10, 0.0]])
+    labels, modes = mean_shift(pts, MeanShiftConfig(bandwidth=bandwidth))
+    ref_labels, ref_modes = mean_shift_dense(pts, MeanShiftConfig(bandwidth=bandwidth),
+                                             every_point=True)
+    assert np.array_equal(np.sort(labels), np.arange(5))
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(modes, ref_modes)
+
+
+def test_permutation_invariance_of_labels_at_block_scale():
+    # the seeds, their order and so every tie-break depend on the points'
+    # values only; float32 window sums are exact in any order
+    rng = np.random.default_rng(22)
+    centres = rng.uniform(-2, 2, (6, 5))
+    pts = (centres[rng.integers(0, 6, 4096)]
+           + rng.standard_normal((4096, 5)) * 0.3).astype(np.float32)
+    labels, modes = mean_shift(pts, CFG)
+    assert modes.shape[0] > 1
+    perm = rng.permutation(len(pts))
+    permuted, permuted_modes = mean_shift(pts[perm], CFG)
+    assert np.array_equal(permuted, labels[perm])
+    assert np.array_equal(permuted_modes, modes)
+
+
+def test_equal_support_ties_go_to_the_lower_cell_key():
+    # two copies of one dyadic blob, listed higher cell first: every-point
+    # seeding would give the first-listed blob id 0, cell order the other
+    offsets = integer_lattice(side=3) / 32
+    high, low = offsets + [5.0, 0.0, 0.0], offsets + [0.0, 5.0, 0.0]
+    pts = np.concatenate([high, low])
+    labels, modes = mean_shift(pts, CFG)
+    assert labels.tolist() == [1] * 27 + [0] * 27
+    ref_labels, _ = mean_shift_dense(pts, CFG, every_point=True)
+    assert ref_labels.tolist() == [0] * 27 + [1] * 27
+    assert_matches_dense(pts)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bin_seeds_agree_with_every_point_seeds_on_planted_blobs(seed):
+    pts = criterion4_blobs(seed)
+    labels, _ = mean_shift(pts, CFG)
+    ref_labels, _ = mean_shift_dense(pts, CFG, every_point=True)
+    assert labels.max() == ref_labels.max() == 4
+    # the same partition: the pairs of labels form a bijection
+    assert np.unique(np.stack([labels, ref_labels]), axis=1).shape[1] == 5
 
 
 def test_peak_memory_at_paper_block_size():

@@ -198,6 +198,12 @@ def test_grouping_validation():
         LossConfig(delta_v=1.5, delta_d=0.5)
 
 
+@pytest.mark.parametrize("margins", [dict(delta_d=np.inf), dict(delta_v=1e308, delta_d=np.inf)])
+def test_loss_margins_must_be_finite(margins):
+    with pytest.raises(ValueError, match="finite delta_d > delta_v > 0"):
+        LossConfig(**margins)
+
+
 # ---------------------------------------------------------------------------
 # total loss
 

@@ -304,6 +304,8 @@ def config_with(tmp_path, lines):
     ["decay_every = -1"], ["patience = 0"], ["patience = -3"], ["num_scenes = 0"],
     # block-size floor: 0.1 m blocks leave empty windows, which a floor of 0 would keep
     ["min_block_points = 0", "block_size = 0.1", "stride = 0.1"], ["min_block_points = -5"],
+    # infinite windows and loss margins
+    ["block_size = inf"], ["stride = inf"], ["delta_d = inf"],
 ])
 def test_cli_rejects_bad_backbone_config_before_training(tmp_path, capsys, lines):
     code = cli.main(["train", "--config", config_with(tmp_path, lines),
@@ -311,6 +313,18 @@ def test_cli_rejects_bad_backbone_config_before_training(tmp_path, capsys, lines
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("lines,named", [
+    (["block_size = inf"], "block_size and stride"), (["stride = inf"], "block_size and stride"),
+    (["delta_d = inf"], "loss (delta_v, delta_d)"),
+])
+def test_cli_names_the_field_of_an_infinite_setting(tmp_path, capsys, lines, named):
+    code = cli.main(["train", "--config", config_with(tmp_path, lines),
+                     "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and "learning_rate" not in err
 
 
 _VALUES = st.one_of(
@@ -371,6 +385,8 @@ def assert_config_invariants(cfg):
     assert 0 < cfg.lr_decay <= 1
     assert cfg.decay_every >= 0 and cfg.patience >= 1 and cfg.num_scenes >= 1
     assert cfg.min_block_points >= 1
+    assert math.isfinite(cfg.block_size) and math.isfinite(cfg.stride)
+    assert math.isfinite(cfg.delta_v) and math.isfinite(cfg.delta_d)
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
@@ -388,18 +404,22 @@ def test_config_field_at_an_edge_value_parses_or_raises_config_error(field):
 
 
 def test_diverged_training_raises_and_writes_no_checkpoint(tmp_path):
-    with pytest.raises(ConfigError, match="non-finite loss at iteration 2"):
+    # the overflow that diverges training warns on the way
+    with (pytest.warns(RuntimeWarning),
+          pytest.raises(ConfigError, match="non-finite loss at iteration 2")):
         train(tiny_config(learning_rate=1e30), tmp_path / "run")
     assert not (tmp_path / "run" / "model.ckpt").exists()
     # an overflowing last step leaves a finite loss but non-finite parameters
-    with pytest.raises(ConfigError, match="parameter .* is non-finite after iteration 1"):
+    with (pytest.warns(RuntimeWarning),
+          pytest.raises(ConfigError, match="parameter .* is non-finite after iteration 1")):
         train(tiny_config(learning_rate=1e39, iterations=1), tmp_path / "last")
     assert not (tmp_path / "last" / "model.ckpt").exists()
 
 
 def test_cli_diverged_training_exits_with_config_error(tmp_path, capsys):
-    code = cli.main(["train", "--config", config_with(tmp_path, ["learning_rate = 1e30"]),
-                     "--out", str(tmp_path / "run")])
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["train", "--config", config_with(tmp_path, ["learning_rate = 1e30"]),
+                         "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_CONFIG
     assert "iteration 2" in capsys.readouterr().err
     assert not (tmp_path / "run" / "model.ckpt").exists()
