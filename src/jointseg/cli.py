@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, load_config
 from .data import SceneFormatError, SceneGenerationError, generate_scene, load_scene, save_scene
-from .inference import segment_scene
+from .inference import NonFiniteOutputError, segment_scene
 from .metrics import evaluate
 from .train import grad_check, load_network, train
 
@@ -96,11 +96,15 @@ def cmd_infer(args) -> int:
     cfg = _resolve_config(args)
     network = load_network(cfg, args.checkpoint)
     scene = load_scene(args.scene)
-    seg = segment_scene(network, scene, block_size=cfg.block_size, stride=cfg.stride,
-                        points_per_block=cfg.points_per_block, min_points=cfg.min_block_points,
-                        center_xy=cfg.center_xy, mean_shift_cfg=cfg.mean_shift_config(),
-                        seed=cfg.seed, voxel_divisions=cfg.voxel_divisions,
-                        overlap_threshold=cfg.overlap_threshold)
+    try:
+        seg = segment_scene(network, scene, block_size=cfg.block_size, stride=cfg.stride,
+                            points_per_block=cfg.points_per_block,
+                            min_points=cfg.min_block_points, center_xy=cfg.center_xy,
+                            mean_shift_cfg=cfg.mean_shift_config(), seed=cfg.seed,
+                            voxel_divisions=cfg.voxel_divisions,
+                            overlap_threshold=cfg.overlap_threshold)
+    except NonFiniteOutputError as e:  # load_scene checked the scene, so the model is at fault
+        raise CheckpointError(f"{args.checkpoint}: {e}") from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / (Path(args.scene).stem + ".result")

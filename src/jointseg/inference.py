@@ -20,9 +20,11 @@ Block merging maintains a voxel grid over the scene as arrays over its
 occupied voxels (one ``np.unique`` of the voxel keys): each block-local
 instance adopts the global id already covering enough of its voxels, or mints
 a new one, and every scene point finally takes the id of its voxel. Points in
-unlabeled voxels take the nearest labeled voxel, found for all of them by one
-chunked query of the same GEMM-plus-recheck kind, ``_NEAREST_ROWS`` points at
-a time; exact distance ties go to the lowest voxel key.
+unlabeled voxels take the nearest labeled voxel; exact distance ties go to the
+lowest voxel key. The query cuts those points into leaves of at most
+``_NEAREST_ROWS`` by median splits, and compares each leaf, by a GEMM plus
+recheck of the same kind, only with the labeled voxels inside its bounding box
+widened by a radius proven to hold every voxel that could be nearest.
 """
 
 from __future__ import annotations
@@ -41,10 +43,16 @@ from .data import Scene, split_into_blocks
 # noise, whose 3305 seeds end in 2232 modes that widen the final nearest-mode
 # step.
 _CHUNK = 64
-# Uncovered points per chunk of the nearest-voxel query. A chunk's temporaries
-# are a few (_NEAREST_ROWS, L) arrays over the L labeled voxels, 1.4 MB each
-# for the ~10.6k labeled voxels of a 3 m room of 29k points.
-_NEAREST_ROWS = 16
+# Uncovered points per leaf of the nearest-voxel query. A leaf's temporaries
+# are a few (_NEAREST_ROWS, m) arrays over its m candidate voxels. On the 3 m
+# rooms of 29k points (~10.6k labeled voxels) m is about 200 in the median and
+# at most about 1.1k, 0.4 and 2.3 MB per array; the query's tracemalloc peak
+# there is 3.3 MB.
+_NEAREST_ROWS = 256
+# Points per leaf of a query of at most _NEAREST_ROWS points, which scans every
+# labeled voxel without sorting them: its temporaries are (_SCAN_ROWS, L)
+# arrays over the L labeled voxels.
+_SCAN_ROWS = 16
 # Half-width of the band in which the expanded distance is not trusted: around
 # bw² in the window test, relative to max ‖c‖² + max ‖p‖² + bw² over a chunk
 # after centring, and around a point's minimum in the nearest-voxel query,
@@ -258,15 +266,24 @@ class BlockPrediction:
         return int(self.instance_categories.shape[0])
 
 
+class NonFiniteOutputError(ValueError):
+    """A network output holds NaN or inf, so it has no argmax or clustering."""
+
+
 def predict_block(logits: np.ndarray, embeddings: np.ndarray,
                   point_indices: np.ndarray, cfg: MeanShiftConfig) -> BlockPrediction:
     """Argmax classes, mean-shift instances, and majority-vote categories.
 
-    Category ties within an instance resolve to the lowest class id.
+    Category ties within an instance resolve to the lowest class id. Logits
+    or embeddings that are not all finite raise ``NonFiniteOutputError``
+    naming which: NaN logits would argmax to class 0 without a word.
     """
-    logits = np.asarray(logits)
+    logits, embeddings = np.asarray(logits), np.asarray(embeddings)
+    for name, values in (("logits", logits), ("embeddings", embeddings)):
+        if not np.isfinite(values).all():
+            raise NonFiniteOutputError(f"the network's {name} are not finite")
     semantic = logits.argmax(axis=1).astype(np.int64)
-    instance, _ = mean_shift(np.asarray(embeddings), cfg)
+    instance, _ = mean_shift(embeddings, cfg)
     c = logits.shape[1]
     n_inst = int(instance.max()) + 1
     votes = np.bincount(instance * c + semantic, minlength=n_inst * c).reshape(n_inst, c)
@@ -290,34 +307,96 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Index of each point's nearest centre by the direct distance
     ``((centres - p) ** 2).sum(1)``; exact ties go to the lowest index.
 
-    d² − ‖p‖² is expanded as ‖c‖² − 2·p·cᵀ on mean-centred coordinates, so a
-    chunk of ``_NEAREST_ROWS`` points costs one GEMM. Rows with a second
-    centre within the recheck band of their minimum compare their candidates
-    by the direct expression instead.
+    The points are cut into leaves of at most ``_NEAREST_ROWS`` by median
+    splits along the widest side of their bounding box. A leaf is compared
+    only with its candidates: the centres inside its box widened by a radius
+    R on every side, found by two ``searchsorted`` on the centres sorted once
+    along their widest axis and a box mask, in ascending index order.
+
+    Among the candidates g = d² − ‖p‖² is expanded as ‖c‖² − 2·p·cᵀ on
+    coordinates centred on the mean of all centres, so a leaf costs one GEMM.
+    A row's best is its first minimum of g; if a second candidate lies within
+    the recheck band b·s of it, with s = ‖p‖² + max ‖c‖² over all centres,
+    the row's candidates within the band compare by the direct expression.
+
+    Exactness. In a scan of every centre, a row is decided by the centres
+    whose g lies within b·s of the row's minimum. Each of them has
+    d² ≤ guess + b·s up to rounding, where the guess, the minimum over the
+    candidates of g + ‖p‖², bounds the row's nearest d² from above. With
+    need² = max guess + 2·b·max s over the leaf, each lies within need of its
+    point with a spare of b·s in d², so inside the leaf's box widened by need
+    on every axis: the rounding of g, of the guess and of the box edges is
+    far inside that spare. Each radius is a need times 1 + b, as
+    ``_Window``'s reach is: R starts at the previous leaf's, and if this
+    leaf's exceeds R, one retry at it suffices, because wider candidates
+    only lower each guess. A box that
+    holds no centre takes them all. So the candidates hold every centre that
+    decides a row, and each row's best, band and recheck are those of the
+    full scan. A query of at most ``_NEAREST_ROWS`` points scans every
+    centre without sorting them, in leaves of at most ``_SCAN_ROWS``.
     """
+    out = np.empty(len(points), dtype=np.int64)
+    if len(points) == 0:
+        return out
     mean = centres.mean(axis=0)
     c = centres - mean
     c_sq = (c ** 2).sum(axis=1)
     c_sq_max = c_sq.max()
     rhs = np.vstack([-2.0 * c.T, c_sq])  # (K + 1, L): [p, 1] @ rhs = ‖c‖² − 2·p·cᵀ
-    out = np.empty(len(points), dtype=np.int64)
-    for s in range(0, len(points), _NEAREST_ROWS):
-        p = points[s:s + _NEAREST_ROWS]
+    everything = np.arange(len(centres))
+    scan = len(points) <= _NEAREST_ROWS  # few queries: every centre, unsorted
+    leaf_rows = _SCAN_ROWS if scan else _NEAREST_ROWS
+    if not scan:
+        axis = int(np.ptp(centres, axis=0).argmax())
+        order = np.argsort(centres[:, axis], kind="stable")
+        by_axis = centres[order]
+        sorted_axis = by_axis[:, axis].copy()
+
+    def candidates(lo, hi):  # the centres in the box [lo, hi], or a full slice
+        if scan:
+            return slice(None)
+        s = np.searchsorted(sorted_axis, lo[axis], side="left")
+        e = np.searchsorted(sorted_axis, hi[axis], side="right")
+        inside = ((by_axis[s:e] >= lo) & (by_axis[s:e] <= hi)).all(axis=1)
+        return np.sort(order[s:e][inside]) if inside.any() else slice(None)
+
+    reach = 0.0
+    stack = [np.arange(len(points))]
+    while stack:
+        idx = stack.pop()
+        p = points[idx]
+        lo, hi = p.min(axis=0), p.max(axis=0)
+        if len(idx) > leaf_rows:  # median split along the widest side
+            half = len(idx) // 2
+            part = np.argpartition(p[:, (hi - lo).argmax()], half)
+            stack += [idx[part[half:]], idx[part[:half]]]
+            continue
         pc = p - mean
-        g = np.hstack([pc, np.ones((len(p), 1))]) @ rhs  # d² − ‖p‖², up to rounding
-        best = g.argmin(axis=1)
+        p_sq = (pc ** 2).sum(axis=1)
+        lhs = np.hstack([pc, np.ones((len(p), 1))])
+        cols = candidates(lo - reach, hi + reach)
+        g = lhs @ rhs[:, cols]  # d² − ‖p‖², up to rounding
+        if not scan:
+            guess = (g.min(axis=1) + p_sq).max()
+            need = np.sqrt(guess + 2 * _RECHECK_BAND * (p_sq.max() + c_sq_max))
+            need *= 1 + _RECHECK_BAND
+            if need > reach and not isinstance(cols, slice):
+                cols = candidates(lo - need, hi + need)
+                g = lhs @ rhs[:, cols]
+            reach = need
+        best = g.argmin(axis=1)  # first minimum = lowest index
         rows = np.arange(len(p))
-        bound = g[rows, best] + _RECHECK_BAND * ((pc ** 2).sum(axis=1) + c_sq_max)
+        bound = g[rows, best] + _RECHECK_BAND * (p_sq + c_sq_max)
         g[rows, best] = np.inf  # the row minimum is now the runner-up
         tied = g.min(axis=1) <= bound
         if tied.any():
-            candidates = g[tied] <= bound[tied, None]
-            candidates[np.arange(len(candidates)), best[tied]] = True
-            r, q = np.nonzero(candidates)
-            d2 = np.full(candidates.shape, np.inf)
-            d2[r, q] = ((centres[q] - p[tied][r]) ** 2).sum(axis=1)
-            best[tied] = d2.argmin(axis=1)  # first minimum = lowest index
-        out[s:s + _NEAREST_ROWS] = best
+            near = g[tied] <= bound[tied, None]
+            near[np.arange(len(near)), best[tied]] = True
+            r, q = np.nonzero(near)
+            d2 = np.full(near.shape, np.inf)
+            d2[r, q] = ((centres[cols][q] - p[tied][r]) ** 2).sum(axis=1)
+            best[tied] = d2.argmin(axis=1)
+        out[idx] = everything[cols][best]
     return out
 
 
@@ -340,8 +419,11 @@ def block_merging(predictions: list[BlockPrediction], scene: Scene, num_classes:
     unlabeled), its (V, C) category votes and the voxel count of each id.
     A point whose voxel no instance labeled takes the id and vote of the
     labeled voxel with the nearest centre; on an exact distance tie, the
-    lowest voxel key wins. That query runs ``_NEAREST_ROWS`` points at a
-    time, so its temporaries are O(``_NEAREST_ROWS`` · V) floats.
+    lowest voxel key wins. That query compares each leaf of at most
+    ``_NEAREST_ROWS`` points only with the labeled voxels near it, so its
+    temporaries are O(``_NEAREST_ROWS`` · m) floats for the m voxels in a
+    leaf's widened box, and O(``_NEAREST_ROWS`` · V) at worst, when a box
+    holds no voxel or all of them.
     Instance ids are finally renumbered densely in order of first appearance.
     """
     if voxel_divisions < 1:

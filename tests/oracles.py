@@ -361,6 +361,42 @@ def block_merging_loop(predictions: list[BlockPrediction], scene: Scene, num_cla
                              num_instances=len(remap), uncovered_points=uncovered)
 
 
+def nearest_full_scan(points: np.ndarray, centres: np.ndarray, rows: int = 16,
+                      band: float = 1e-9) -> np.ndarray:
+    """Index of each point's nearest centre by the direct distance
+    ``((centres - p) ** 2).sum(1)``; exact ties go to the lowest index.
+
+    Every centre is scanned: d² − ‖p‖² is expanded as ‖c‖² − 2·p·cᵀ on
+    mean-centred coordinates, so a chunk of ``rows`` points costs one GEMM.
+    Rows with a second centre within ``band`` · (‖p‖² + max ‖c‖²) of their
+    minimum compare those candidates by the direct expression instead.
+    """
+    mean = centres.mean(axis=0)
+    c = centres - mean
+    c_sq = (c ** 2).sum(axis=1)
+    c_sq_max = c_sq.max()
+    rhs = np.vstack([-2.0 * c.T, c_sq])  # (K + 1, L): [p, 1] @ rhs = ‖c‖² − 2·p·cᵀ
+    out = np.empty(len(points), dtype=np.int64)
+    for s in range(0, len(points), rows):
+        p = points[s:s + rows]
+        pc = p - mean
+        g = np.hstack([pc, np.ones((len(p), 1))]) @ rhs  # d² − ‖p‖², up to rounding
+        best = g.argmin(axis=1)
+        r = np.arange(len(p))
+        bound = g[r, best] + band * ((pc ** 2).sum(axis=1) + c_sq_max)
+        g[r, best] = np.inf  # the row minimum is now the runner-up
+        tied = g.min(axis=1) <= bound
+        if tied.any():
+            candidates = g[tied] <= bound[tied, None]
+            candidates[np.arange(len(candidates)), best[tied]] = True
+            i, q = np.nonzero(candidates)
+            d2 = np.full(candidates.shape, np.inf)
+            d2[i, q] = ((centres[q] - p[tied][i]) ** 2).sum(axis=1)
+            best[tied] = d2.argmin(axis=1)  # first minimum = lowest index
+        out[s:s + rows] = best
+    return out
+
+
 # ---------------------------------------------------------------------------
 # general primitives the package no longer calls
 #

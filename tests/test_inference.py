@@ -10,7 +10,7 @@ from jointseg.inference import (BlockPrediction, MeanShiftConfig, block_merging,
                                 predict_block, segment_scene)
 from jointseg.network import SegmentationNetwork
 
-from oracles import block_merging_loop, mean_shift_dense
+from oracles import block_merging_loop, mean_shift_dense, nearest_full_scan
 
 CFG = MeanShiftConfig(bandwidth=0.6)
 
@@ -461,6 +461,16 @@ def test_predict_block_tie_vote_takes_lower_class():
     assert pred.instance_categories[0] == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["logits", "embeddings"])
+def test_predict_block_rejects_non_finite_outputs_naming_which(which, bad):
+    rng = np.random.default_rng(5)
+    outputs = {"logits": rng.normal(size=(20, 3)), "embeddings": rng.normal(size=(20, 4))}
+    outputs[which][7, 1] = bad
+    with pytest.raises(inference.NonFiniteOutputError, match=which):
+        predict_block(outputs["logits"], outputs["embeddings"], np.arange(20), CFG)
+
+
 # ---------------------------------------------------------------------------
 # block merging
 
@@ -717,8 +727,13 @@ def test_uncovered_point_on_an_exact_tie_takes_the_lower_voxel_key():
     assert seg.semantic[2] == 2  # the vote of voxel (0,0,0)
 
 
-@pytest.mark.parametrize("scale,offset", [(0.25, 0.0), (0.1, 0.37), (0.0075, 11.5)])
-def test_nearest_voxel_query_matches_brute_force_near_ties(scale, offset):
+def brute_nearest(points, centres):
+    """Per point, the first argmin of the direct squared distances."""
+    return np.array([((centres - p) ** 2).sum(axis=1).argmin() for p in points], dtype=np.int64)
+
+
+def near_tie_queries(scale, offset):
+    """937 points on, beside and between the centres of a 5³ lattice."""
     rng = np.random.default_rng(14)
     centres = integer_lattice(side=5) * scale + offset
     a = rng.integers(0, len(centres), 300)
@@ -727,8 +742,104 @@ def test_nearest_voxel_query_matches_brute_force_near_ties(scale, offset):
     nudge = rng.choice([0.0, 1e-15, -1e-15, 1e-12, -1e-9], size=(300, 1)) * scale
     points = np.concatenate([mid, mid + nudge, centres[a] + scale / 2,
                              rng.uniform(-1, 6, (37, 3)) * scale + offset])
-    brute = np.array([((centres - p) ** 2).sum(axis=1).argmin() for p in points])
-    assert np.array_equal(inference._nearest(points, centres), brute)
+    return points, centres
+
+
+NEAR_TIE_CASES = [(0.25, 0.0), (0.1, 0.37), (0.0075, 11.5)]
+
+
+@pytest.mark.parametrize("scale,offset", NEAR_TIE_CASES)
+def test_nearest_voxel_query_matches_brute_force_near_ties(scale, offset):
+    points, centres = near_tie_queries(scale, offset)
+    assert np.array_equal(inference._nearest(points, centres), brute_nearest(points, centres))
+
+
+@pytest.mark.parametrize("scale,offset", NEAR_TIE_CASES)
+def test_nearest_voxel_query_matches_brute_force_near_ties_in_small_leaves(
+        monkeypatch, scale, offset):
+    monkeypatch.setattr(inference, "_NEAREST_ROWS", 5)  # 937 points, 256 leaves
+    points, centres = near_tie_queries(scale, offset)
+    assert np.array_equal(inference._nearest(points, centres), brute_nearest(points, centres))
+
+
+def nearest_queries(kind, offset, rng):
+    """(points, centres) of one shape the nearest-voxel query must handle."""
+    if kind == "voxels":  # a sparse 7.5 mm voxel lattice, queries among its centres
+        centres = integer_lattice(side=8)[rng.random(512) < 0.3] * 0.0075
+        points = rng.uniform(-0.01, 0.07, (150, 3))
+    elif kind == "one_centre":
+        centres = rng.uniform(0, 1, (1, 3))
+        points = np.concatenate([rng.uniform(-1, 2, (40, 3)), centres])
+    elif kind == "duplicates":  # exact ties between copies and across midpoints
+        base = integer_lattice(side=3)[rng.integers(0, 27, 6)] * 0.25
+        centres = base[rng.integers(0, 6, 30)]
+        a, b = rng.integers(0, 30, (2, 60))
+        points = np.concatenate([centres, (centres[a] + centres[b]) / 2])
+    elif kind == "axis_midpoints":  # ties along one axis, on the edge of a leaf's box
+        centres = integer_lattice(side=5) * 0.3 + 0.1
+        a = rng.integers(0, 125, 400)
+        b = a + np.array([25, 5, 1])[rng.integers(0, 3, 400)]
+        a, b = a[b < 125], b[b < 125]
+        points = (centres[a] + centres[b]) / 2
+    elif kind == "far":  # a near cluster, then leaves far outside the centres' box
+        centres = rng.uniform(0, 1, (60, 3))
+        points = np.concatenate([rng.uniform(0, 1, (30, 3)),
+                                 rng.uniform(0, 1, (40, 3)) + [40.0, -25.0, 3.0],
+                                 rng.uniform(0, 1, (30, 3)) * 1e3])
+    else:  # empty
+        centres = rng.uniform(0, 1, (10, 3))
+        points = np.empty((0, 3))
+    return points + offset, centres + offset
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10 ** 6])
+@pytest.mark.parametrize("offset", [0.0, 11.5, -1e4])
+@pytest.mark.parametrize("kind", ["voxels", "one_centre", "duplicates", "axis_midpoints", "far",
+                                  "empty"])
+def test_nearest_voxel_query_matches_brute_force_and_full_scan(monkeypatch, kind, offset, rows):
+    monkeypatch.setattr(inference, "_NEAREST_ROWS", rows)
+    for seed in range(3):
+        points, centres = nearest_queries(kind, offset, np.random.default_rng(seed))
+        got = inference._nearest(points, centres)
+        assert got.shape == (len(points),) and got.dtype == np.int64
+        assert np.array_equal(got, brute_nearest(points, centres))
+        assert np.array_equal(got, nearest_full_scan(points, centres))
+
+
+def test_nearest_voxel_query_of_few_points_scans_in_small_leaves():
+    rng = np.random.default_rng(3)
+    centres = rng.uniform(0, 3, (10_000, 3))
+    points = rng.uniform(0, 3, (inference._NEAREST_ROWS, 3))  # scanned against every centre
+    tracemalloc.start()
+    try:
+        got = inference._nearest(points, centres)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, brute_nearest(points, centres))
+    # a (256, 10k) float64 temporary alone would take 19.5 MB
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_fully_sampled_scene_sends_an_empty_query_and_matches_loop(monkeypatch):
+    scene = criterion7_scene()
+    blocks = split_into_blocks(scene, block_size=1.0, stride=0.5, points_per_block=128,
+                               min_points=16, rng=np.random.default_rng(0))
+    preds = gt_predictions(scene, blocks)
+    everything = np.arange(scene.num_points)  # one last block samples every point
+    preds.append(BlockPrediction(semantic=scene.semantic_labels, instance=np.zeros_like(everything),
+                                 instance_categories=np.array([0]), point_indices=everything))
+    queries = []
+    nearest = inference._nearest
+
+    def recorded(points, centres):
+        queries.append(len(points))
+        return nearest(points, centres)
+
+    monkeypatch.setattr(inference, "_nearest", recorded)
+    seg = block_merging(preds, scene, num_classes=4)
+    assert queries == [0] and seg.uncovered_points == 0
+    assert_matches_loop(preds, scene, 4, 400)
 
 
 def test_merging_peak_memory_on_a_dense_scene():

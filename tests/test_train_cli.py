@@ -583,3 +583,27 @@ def test_cli_refuses_checkpoint_with_non_finite_parameter(tmp_path, capsys):
                      "--out", str(tmp_path / "pred")])
     assert code == cli.EXIT_CHECKPOINT
     assert repr(name) in capsys.readouterr().err
+
+
+def test_cli_infer_refuses_a_checkpoint_whose_outputs_are_not_finite(tmp_path, capsys):
+    # the committed benchmark model with its encoder head bias scaled by 1e37:
+    # every parameter stays finite, so it loads, but every logit comes out NaN
+    ckpt = load_checkpoint(Path(__file__).resolve().parents[1] / "bench" / "model"
+                           / "c3_seed0.ckpt")
+    ckpt.parameters["encoder.head.bias"] *= np.float32(1e37)
+    assert all(np.isfinite(v).all() for v in ckpt.parameters.values())
+    scaled = tmp_path / "scaled.ckpt"
+    save_checkpoint(scaled, ckpt.parameters, ckpt.optimizer_state, ckpt.iteration,
+                    ckpt.optimizer_step, ckpt.config_digest, ckpt.model_digest)
+    cfg = RunConfig(seed=0)  # the committed model's configuration
+    scene_path = tmp_path / "scene_000.scene"
+    save_scene(scene_path, generate_scene(cfg.scene_spec(0)))
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["infer", "--config", write_config(tmp_path / "c.cfg", cfg),
+                         "--checkpoint", str(scaled), "--scene", str(scene_path),
+                         "--out", str(tmp_path / "pred")])
+    assert code == cli.EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and "logits are not finite" in err
+    assert not (tmp_path / "pred").exists()
