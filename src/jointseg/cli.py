@@ -89,6 +89,9 @@ def load_result(path) -> tuple[np.ndarray, np.ndarray]:
             raise SceneFormatError(f"{path} line {i + 2}: {e}") from e
         if rows[i, 0] < 0:
             raise SceneFormatError(f"{path} line {i + 2}: class id must be >= 0, got {rows[i, 0]}")
+    for i, line in enumerate(lines[1 + n:], start=2 + n):
+        if line.strip():
+            raise SceneFormatError(f"{path} line {i}: unexpected line after the {n} declared rows")
     return rows[:, 0], rows[:, 1]
 
 

@@ -415,5 +415,8 @@ def _load_scene_text(path: str) -> Scene:
             labels[:, i - 3] = [int(v) for v in fields[6:]]  # int() refuses a fractional label
         except (ValueError, OverflowError) as e:
             raise SceneFormatError(f"line {i}: {e}") from e
+    for i, line in enumerate(lines[2 + n:], start=3 + n):
+        if line.strip():
+            raise SceneFormatError(f"line {i}: unexpected line after the {n} declared points")
     _check_values(extent, values[:, 0:3], values[:, 3:6], labels[0])
     return Scene(values[:, 0:3], values[:, 3:6], labels[0], labels[1], extent)

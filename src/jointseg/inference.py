@@ -7,24 +7,28 @@ cell's lexicographically smallest member point rather than the cell's grid
 position, so every seed's window holds at least that point. Cells are keyed
 by ``round(p / bw)``, so the labels depend on the grid's origin: translating
 the points can move cell edges and change the seeds. Converged modes within
-half a bandwidth are unified and every point joins its nearest mode.
-It runs in chunks of ``_CHUNK`` rows, so its memory is O(``_CHUNK`` · n · K)
-instead of O(n² · K). Seeds that share a position are stepped once, found by
-one ``lexsort`` per iteration that also orders them along the points' widest
-axis. A chunk of such neighbouring centres is tested only against the points
-whose coordinate on that axis lies within a bandwidth of the chunk's span:
-the window test takes one GEMM over those candidates and recomputes directly
-only the pairs whose expanded distance lies too close to the bandwidth to
-trust. Window sums run over the members in their original order.
+half a bandwidth are unified and every point joins its nearest mode through
+the nearest-centre query below. The window steps run in chunks of ``_CHUNK``
+rows, so their memory is O(``_CHUNK`` · n · K) instead of O(n² · K). Seeds
+that share a position are stepped once, found by one ``lexsort`` per
+iteration that also orders them along the points' widest axis. A chunk of
+such neighbouring centres is tested only against the points whose coordinate
+on that axis lies within a bandwidth of the chunk's span: the window test
+takes one GEMM over those candidates and recomputes directly only the pairs
+whose expanded distance lies too close to the bandwidth to trust. Window sums
+run over the members in their original order.
 Block merging maintains a voxel grid over the scene as arrays over its
 occupied voxels (one ``np.unique`` of the voxel keys): each block-local
 instance adopts the global id already covering enough of its voxels, or mints
 a new one, and every scene point finally takes the id of its voxel. Points in
 unlabeled voxels take the nearest labeled voxel; exact distance ties go to the
-lowest voxel key. The query cuts those points into leaves of at most
-``_NEAREST_ROWS`` by median splits, and compares each leaf, by a GEMM plus
-recheck of the same kind, only with the labeled voxels inside its bounding box
-widened by a radius proven to hold every voxel that could be nearest.
+lowest voxel key.
+Both nearest steps are one query, ``_nearest``: exact distance ties go to the
+lowest index. It cuts the points by median splits into leaves whose rows
+times candidate centres fit in ``_NEAREST_CELLS``, and compares each leaf, by
+a GEMM plus recheck of the same kind, only with the centres inside its
+bounding box widened by a radius proven to hold every centre that could be
+nearest.
 """
 
 from __future__ import annotations
@@ -37,22 +41,17 @@ from . import autodiff as ad
 from .data import Scene, split_into_blocks
 
 
-# Rows (seeds or points) per chunk. Each chunk's temporaries are a few
-# (_CHUNK, n) arrays at most: the tracemalloc peak of mean_shift on a 4096 x 5
-# block is 3.3 MB on trained embeddings (69 seeds) and 7.6 MB on Gaussian
-# noise, whose 3305 seeds end in 2232 modes that widen the final nearest-mode
-# step.
+# Seeds or modes per chunk of the window steps. Each chunk's temporaries are a
+# few (_CHUNK, n) arrays at most: the tracemalloc peak of mean_shift on a
+# 4096 x 5 block is at most 3.6 MB on the bench's trained embeddings and 3.9 MB
+# on Gaussian noise, whose 3305 seeds end in 2232 modes.
 _CHUNK = 64
-# Uncovered points per leaf of the nearest-voxel query. A leaf's temporaries
-# are a few (_NEAREST_ROWS, m) arrays over its m candidate voxels. On the 3 m
-# rooms of 29k points (~10.6k labeled voxels) m is about 200 in the median and
-# at most about 1.1k, 0.4 and 2.3 MB per array; the query's tracemalloc peak
-# there is 3.3 MB.
-_NEAREST_ROWS = 256
-# Points per leaf of a query of at most _NEAREST_ROWS points, which scans every
-# labeled voxel without sorting them: its temporaries are (_SCAN_ROWS, L)
-# arrays over the L labeled voxels.
-_SCAN_ROWS = 16
+# Cells (query rows x candidate centres) per leaf of the nearest-centre query:
+# a leaf's temporaries are a few arrays of at most this many elements, 4 MB in
+# float64, unless the leaf is one row. On the dense rooms' nearest-voxel
+# queries, 2**18 took about 25% longer (more, smaller GEMMs) and 2**20 saved
+# about 8% but nearly doubled the peak.
+_NEAREST_CELLS = 2 ** 19
 # Half-width of the band in which the expanded distance is not trusted: around
 # bw² in the window test, relative to max ‖c‖² + max ‖p‖² + bw² over a chunk
 # after centring, and around a point's minimum in the nearest-voxel query,
@@ -196,9 +195,10 @@ def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np
     one ``lexsort``, in order along the window's pruning axis, and moves each
     distinct position, ``_CHUNK`` at a time, to the mean of the points within
     one bandwidth. A chunk of centres that lie close together on that axis is
-    tested only against the points near them on it. Support, merging and the
-    final nearest-mode assignment run over distinct modes and chunks of points.
-    No temporary exceeds ``_CHUNK`` · n · K floats. The window and merge tests
+    tested only against the points near them on it. Support and merging run
+    over distinct modes, and each point joins its nearest mode by ``_nearest``.
+    No temporary exceeds ``_CHUNK`` · n · K floats, or ``_NEAREST_CELLS`` in
+    the nearest-mode query. The window, merge and nearest-mode tests
     decide every pair as the direct distance expressions do, and window sums
     run over the members in their original order, so the result is that of the
     unchunked computation, except that BLAS may round a chunk's window sums
@@ -246,10 +246,7 @@ def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np
         if all(np.linalg.norm(uniq[i] - uniq[kept[j]]) > merge_r for j in near):
             kept.append(int(i))
     centers = uniq[kept]
-    labels = np.concatenate([  # first minimum = lowest cluster id on ties
-        ((pts[s:s + _CHUNK, None, :] - centers[None, :, :]) ** 2).sum(-1).argmin(axis=1)
-        for s in range(0, n, _CHUNK)])
-    return labels.astype(np.int64), centers
+    return _nearest(pts, centers), centers
 
 
 @dataclass
@@ -307,11 +304,15 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Index of each point's nearest centre by the direct distance
     ``((centres - p) ** 2).sum(1)``; exact ties go to the lowest index.
 
-    The points are cut into leaves of at most ``_NEAREST_ROWS`` by median
-    splits along the widest side of their bounding box. A leaf is compared
-    only with its candidates: the centres inside its box widened by a radius
-    R on every side, found by two ``searchsorted`` on the centres sorted once
-    along their widest axis and a box mask, in ascending index order.
+    The centres are sorted once along their widest axis. A leaf of points is
+    compared only with its candidates: the centres inside its bounding box
+    widened by a radius R on every side, found by two ``searchsorted`` on the
+    sorted axis and a box mask, in ascending index order; a box that holds no
+    centre takes them all. The points are cut by median splits along the
+    widest side of their box while a node has more than one row and its rows
+    times its candidates, counted as their slab on the sorted axis or as all
+    centres, exceed ``_NEAREST_CELLS``. So a leaf's temporaries hold at most
+    that many elements, or one row against every centre.
 
     Among the candidates g = d² − ‖p‖² is expanded as ‖c‖² − 2·p·cᵀ on
     coordinates centred on the mean of all centres, so a leaf costs one GEMM.
@@ -329,11 +330,10 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     far inside that spare. Each radius is a need times 1 + b, as
     ``_Window``'s reach is: R starts at the previous leaf's, and if this
     leaf's exceeds R, one retry at it suffices, because wider candidates
-    only lower each guess. A box that
-    holds no centre takes them all. So the candidates hold every centre that
-    decides a row, and each row's best, band and recheck are those of the
-    full scan. A query of at most ``_NEAREST_ROWS`` points scans every
-    centre without sorting them, in leaves of at most ``_SCAN_ROWS``.
+    only lower each guess; a retry whose box breaks the budget splits the
+    leaf instead, and its parts start at the wider R. So the candidates hold
+    every centre that decides a row, and each row's best, band and recheck
+    are those of the full scan.
     """
     out = np.empty(len(points), dtype=np.int64)
     if len(points) == 0:
@@ -343,22 +343,25 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     c_sq = (c ** 2).sum(axis=1)
     c_sq_max = c_sq.max()
     rhs = np.vstack([-2.0 * c.T, c_sq])  # (K + 1, L): [p, 1] @ rhs = ‖c‖² − 2·p·cᵀ
+    axis = int(np.ptp(centres, axis=0).argmax())
+    order = np.argsort(centres[:, axis], kind="stable")
+    by_axis = centres[order]
     everything = np.arange(len(centres))
-    scan = len(points) <= _NEAREST_ROWS  # few queries: every centre, unsorted
-    leaf_rows = _SCAN_ROWS if scan else _NEAREST_ROWS
-    if not scan:
-        axis = int(np.ptp(centres, axis=0).argmax())
-        order = np.argsort(centres[:, axis], kind="stable")
-        by_axis = centres[order]
-        sorted_axis = by_axis[:, axis].copy()
+    sorted_axis = by_axis[:, axis].copy()
 
-    def candidates(lo, hi):  # the centres in the box [lo, hi], or a full slice
-        if scan:
-            return slice(None)
+    def candidates(lo, hi, rows):
+        """The centres in the box [lo, hi] in index order, or every centre if
+        it holds none; None if they break the budget for ``rows`` > 1 rows,
+        counted as the width of their slab on the sorted axis."""
         s = np.searchsorted(sorted_axis, lo[axis], side="left")
         e = np.searchsorted(sorted_axis, hi[axis], side="right")
+        cap = _NEAREST_CELLS / rows if rows > 1 else np.inf
+        if e - s > cap:
+            return None
         inside = ((by_axis[s:e] >= lo) & (by_axis[s:e] <= hi)).all(axis=1)
-        return np.sort(order[s:e][inside]) if inside.any() else slice(None)
+        if inside.any():
+            return np.sort(order[s:e][inside])
+        return everything if len(centres) <= cap else None
 
     reach = 0.0
     stack = [np.arange(len(points))]
@@ -366,7 +369,8 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
         idx = stack.pop()
         p = points[idx]
         lo, hi = p.min(axis=0), p.max(axis=0)
-        if len(idx) > leaf_rows:  # median split along the widest side
+        cols = candidates(lo - reach, hi + reach, len(idx))
+        if cols is None:  # median split along the widest side
             half = len(idx) // 2
             part = np.argpartition(p[:, (hi - lo).argmax()], half)
             stack += [idx[part[half:]], idx[part[:half]]]
@@ -374,16 +378,19 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
         pc = p - mean
         p_sq = (pc ** 2).sum(axis=1)
         lhs = np.hstack([pc, np.ones((len(p), 1))])
-        cols = candidates(lo - reach, hi + reach)
         g = lhs @ rhs[:, cols]  # d² − ‖p‖², up to rounding
-        if not scan:
-            guess = (g.min(axis=1) + p_sq).max()
-            need = np.sqrt(guess + 2 * _RECHECK_BAND * (p_sq.max() + c_sq_max))
-            need *= 1 + _RECHECK_BAND
-            if need > reach and not isinstance(cols, slice):
-                cols = candidates(lo - need, hi + need)
-                g = lhs @ rhs[:, cols]
-            reach = need
+        guess = (g.min(axis=1) + p_sq).max()
+        need = np.sqrt(guess + 2 * _RECHECK_BAND * (p_sq.max() + c_sq_max))
+        need *= 1 + _RECHECK_BAND
+        widen = need > reach and len(cols) < len(centres)
+        reach = need
+        if widen:
+            del g  # a leaf holds one GEMM output at a time
+            cols = candidates(lo - need, hi + need, len(idx))
+            if cols is None:
+                stack.append(idx)  # split at the wider radius
+                continue
+            g = lhs @ rhs[:, cols]
         best = g.argmin(axis=1)  # first minimum = lowest index
         rows = np.arange(len(p))
         bound = g[rows, best] + _RECHECK_BAND * (p_sq + c_sq_max)
@@ -396,7 +403,8 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
             d2 = np.full(near.shape, np.inf)
             d2[r, q] = ((centres[cols][q] - p[tied][r]) ** 2).sum(axis=1)
             best[tied] = d2.argmin(axis=1)
-        out[idx] = everything[cols][best]
+        out[idx] = cols[best]
+        del g  # before the next leaf's GEMM
     return out
 
 
@@ -419,11 +427,11 @@ def block_merging(predictions: list[BlockPrediction], scene: Scene, num_classes:
     unlabeled), its (V, C) category votes and the voxel count of each id.
     A point whose voxel no instance labeled takes the id and vote of the
     labeled voxel with the nearest centre; on an exact distance tie, the
-    lowest voxel key wins. That query compares each leaf of at most
-    ``_NEAREST_ROWS`` points only with the labeled voxels near it, so its
-    temporaries are O(``_NEAREST_ROWS`` · m) floats for the m voxels in a
-    leaf's widened box, and O(``_NEAREST_ROWS`` · V) at worst, when a box
-    holds no voxel or all of them.
+    lowest voxel key wins. That query (``_nearest``) compares each leaf of
+    points only with the labeled voxels in its widened box, and keeps each
+    leaf's rows times candidate voxels within ``_NEAREST_CELLS``, so its
+    temporaries are O(``_NEAREST_CELLS``) floats, or O(V) for a leaf of one
+    point, however far the points lie from the labeled voxels.
     Instance ids are finally renumbered densely in order of first appearance.
     """
     if voxel_divisions < 1:

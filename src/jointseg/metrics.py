@@ -9,31 +9,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
-class Region:
-    indices: frozenset
-    category: int
-
-
 def _pair_counts(a: np.ndarray, b: np.ndarray, na: int, nb: int) -> np.ndarray:
     """(na, nb) table: entry (i, j) counts the points with a == i and b == j."""
     return np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb)
 
 
+@dataclass
 class RegionSet:
     """Pairwise-disjoint point regions with categories: ``labels[i]`` is the
     region of point i (-1 for none) and ``categories[r]`` that of region r."""
 
-    def __init__(self, regions: list[Region], universe: int):
-        self.labels = np.full(universe, -1, dtype=np.int64)
-        for r, region in enumerate(regions):
-            idx = np.fromiter(region.indices, dtype=np.int64, count=len(region.indices))
-            if ((idx < 0) | (idx >= universe)).any():
-                raise ValueError(f"region {r} holds point indices outside [0, {universe})")
-            if (self.labels[idx] >= 0).any():
-                raise ValueError("regions overlap")
-            self.labels[idx] = r
-        self.categories = np.array([r.category for r in regions], dtype=np.int64)
+    labels: np.ndarray
+    categories: np.ndarray
 
     @classmethod
     def from_labels(cls, instance_ids: np.ndarray, categories: np.ndarray) -> "RegionSet":
@@ -44,12 +31,10 @@ class RegionSet:
         ids, inverse = np.unique(np.asarray(instance_ids).ravel(), return_inverse=True)
         unlabeled = int(np.searchsorted(ids, 0))
         classes, votes = np.unique(np.asarray(categories).ravel(), return_inverse=True)
-        out = cls.__new__(cls)
-        out.labels = np.maximum(inverse - unlabeled, -1)
+        labels = np.maximum(inverse - unlabeled, -1)
         # row 0 holds the unlabeled points' votes
-        table = _pair_counts(out.labels + 1, votes, ids.size - unlabeled + 1, classes.size)
-        out.categories = classes[table[1:].argmax(axis=1)]
-        return out
+        table = _pair_counts(labels + 1, votes, ids.size - unlabeled + 1, classes.size)
+        return cls(labels, classes[table[1:].argmax(axis=1)])
 
 
 def _iou_table(gt: RegionSet, pred: RegionSet) -> tuple[np.ndarray, np.ndarray]:

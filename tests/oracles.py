@@ -12,7 +12,7 @@ from jointseg import autodiff as ad
 from jointseg.data import Scene
 from jointseg.inference import BlockPrediction, SceneSegmentation
 from jointseg.losses import DiscriminativeLossTerms, InstanceGrouping, LossConfig
-from jointseg.metrics import MetricsReport
+from jointseg.metrics import MetricsReport, RegionSet
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -183,6 +183,21 @@ def evaluate_sets(gt_instances, gt_classes, pred_instances, pred_classes) -> Met
     oacc, macc, miou, ious = semantic_scores_masks(pred_classes, gt_classes)
     return MetricsReport(coverage_sets(gt, pred, False), coverage_sets(gt, pred, True),
                          mp, mr, oacc, macc, miou, per_class, ious)
+
+
+def region_set(regions, universe: int) -> RegionSet:
+    """The RegionSet whose region r holds the point indices of ``regions[r]``,
+    a (indices, category) pair, over points 0 .. universe - 1. Indices outside
+    that range, or in two regions, raise ValueError."""
+    labels = np.full(universe, -1, dtype=np.int64)
+    for r, (indices, _) in enumerate(regions):
+        idx = np.fromiter(indices, dtype=np.int64, count=len(indices))
+        if ((idx < 0) | (idx >= universe)).any():
+            raise ValueError(f"region {r} holds point indices outside [0, {universe})")
+        if (labels[idx] >= 0).any():
+            raise ValueError("regions overlap")
+        labels[idx] = r
+    return RegionSet(labels, np.array([c for _, c in regions], dtype=np.int64))
 
 
 def random_region_sets(rng: np.random.Generator, max_points: int = 30, max_regions: int = 5,

@@ -17,9 +17,9 @@ from jointseg.data import SyntheticSceneSpec, generate_scene, split_into_blocks
 from jointseg.inference import BlockPrediction, MeanShiftConfig, block_merging, mean_shift, segment_scene
 from jointseg.joint import JointSegmentationHead
 from jointseg.losses import InstanceGrouping, LossConfig, discriminative_loss
-from jointseg.metrics import Region, RegionSet, coverage, evaluate, precision_recall
+from jointseg.metrics import coverage, evaluate, precision_recall
 from jointseg.train import grad_check, load_network, load_scenes, train
-from oracles import coverage_loops, precision_recall_loops, random_region_sets
+from oracles import coverage_loops, precision_recall_loops, random_region_sets, region_set
 
 
 def report(n, message):
@@ -117,8 +117,8 @@ def test_criterion_5_metric_oracle_equivalence():
     rng = np.random.default_rng(12345)
     for trial in range(100):
         n, gt_raw, pred_raw = random_region_sets(rng, max_points=30, max_regions=5)
-        gt = RegionSet([Region(frozenset(r), c) for r, c in gt_raw], n)
-        pred = RegionSet([Region(frozenset(r), c) for r, c in pred_raw], n)
+        gt = region_set(gt_raw, n)
+        pred = region_set(pred_raw, n)
 
         assert abs(coverage(gt, pred) - coverage_loops(gt_raw, pred_raw, False)) < 1e-12
         assert abs(coverage(gt, pred, True) - coverage_loops(gt_raw, pred_raw, True)) < 1e-12

@@ -162,6 +162,20 @@ def test_text_round_trip(tmp_path):
     assert np.array_equal(loaded.instance_ids, scene.instance_ids)
 
 
+def test_text_scene_rejects_lines_after_the_declared_points(tmp_path):
+    scene = generate_scene(small_spec())
+    path = tmp_path / "scene.txt"
+    save_scene(path, scene)
+    text = path.read_text()
+    path.write_text(text + "\n  \n")  # blank lines after the points are harmless
+    assert np.array_equal(load_scene(path).points, scene.points)
+    path.write_text(text + "\n0 0 0 0 0 0 0 0\njunk\n")
+    with pytest.raises(SceneFormatError,
+                       match=f"line {scene.num_points + 4}: unexpected line after the "
+                             f"{scene.num_points} declared points"):
+        load_scene(path)
+
+
 def test_truncated_file_reports_byte_offset(tmp_path):
     scene = generate_scene(small_spec())
     path = tmp_path / "scene.scene"

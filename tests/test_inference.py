@@ -757,7 +757,7 @@ def test_nearest_voxel_query_matches_brute_force_near_ties(scale, offset):
 @pytest.mark.parametrize("scale,offset", NEAR_TIE_CASES)
 def test_nearest_voxel_query_matches_brute_force_near_ties_in_small_leaves(
         monkeypatch, scale, offset):
-    monkeypatch.setattr(inference, "_NEAREST_ROWS", 5)  # 937 points, 256 leaves
+    monkeypatch.setattr(inference, "_NEAREST_CELLS", 300)  # 937 points, about 260 leaves
     points, centres = near_tie_queries(scale, offset)
     assert np.array_equal(inference._nearest(points, centres), brute_nearest(points, centres))
 
@@ -792,12 +792,14 @@ def nearest_queries(kind, offset, rng):
     return points + offset, centres + offset
 
 
-@pytest.mark.parametrize("rows", [1, 7, 10 ** 6])
+# budgets for one-row leaves, leaves of up to 7 rows where few centres are
+# near, leaves of a few rows, and a single leaf
+@pytest.mark.parametrize("cells", [1, 7, 200, 10 ** 6])
 @pytest.mark.parametrize("offset", [0.0, 11.5, -1e4])
 @pytest.mark.parametrize("kind", ["voxels", "one_centre", "duplicates", "axis_midpoints", "far",
                                   "empty"])
-def test_nearest_voxel_query_matches_brute_force_and_full_scan(monkeypatch, kind, offset, rows):
-    monkeypatch.setattr(inference, "_NEAREST_ROWS", rows)
+def test_nearest_voxel_query_matches_brute_force_and_full_scan(monkeypatch, kind, offset, cells):
+    monkeypatch.setattr(inference, "_NEAREST_CELLS", cells)
     for seed in range(3):
         points, centres = nearest_queries(kind, offset, np.random.default_rng(seed))
         got = inference._nearest(points, centres)
@@ -809,7 +811,7 @@ def test_nearest_voxel_query_matches_brute_force_and_full_scan(monkeypatch, kind
 def test_nearest_voxel_query_of_few_points_scans_in_small_leaves():
     rng = np.random.default_rng(3)
     centres = rng.uniform(0, 3, (10_000, 3))
-    points = rng.uniform(0, 3, (inference._NEAREST_ROWS, 3))  # scanned against every centre
+    points = rng.uniform(0, 3, (256, 3))  # 256 queries among 10k centres
     tracemalloc.start()
     try:
         got = inference._nearest(points, centres)
@@ -818,6 +820,37 @@ def test_nearest_voxel_query_of_few_points_scans_in_small_leaves():
         tracemalloc.stop()
     assert np.array_equal(got, brute_nearest(points, centres))
     # a (256, 10k) float64 temporary alone would take 19.5 MB
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def budget_queries(kind):
+    """(points, centres): 2000 points against 10k centres, placed so that a
+    query without its cell budget would make one very wide leaf."""
+    rng = np.random.default_rng(3)
+    if kind == "far":  # 40 m away: the first box holds no centre, so a leaf takes them all
+        centres = rng.uniform(0, 3, (10_000, 3))
+        points = rng.uniform(0, 3, (2000, 3)) + [40.0, 0.0, 0.0]
+    else:  # a flat sheet whose box holds only centre 0: one leaf, whose retry
+        # at the proven radius takes in about 4.7k centres
+        centres = rng.uniform(0, [3, 1, 1], (10_000, 3))
+        centres[0] = [1.5, 0.5, 0.5]
+        points = rng.uniform(0, 1, (2000, 3))
+        points[:, 0] = 1.5
+    return points, centres
+
+
+# without the budget: leaves of 256 rows against all 10k centres would take
+# 19.5 MB per temporary, and the sheet's (2000, 4.7k) retry 72 MB
+@pytest.mark.parametrize("kind", ["far", "wide_retry"])
+def test_nearest_query_keeps_to_its_cell_budget(kind):
+    points, centres = budget_queries(kind)
+    tracemalloc.start()
+    try:
+        got = inference._nearest(points, centres)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, brute_nearest(points, centres))
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 

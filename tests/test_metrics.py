@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from jointseg.metrics import Region, RegionSet, coverage, evaluate, precision_recall, semantic_scores
+import oracles
+from jointseg.metrics import RegionSet, coverage, evaluate, precision_recall, semantic_scores
 from oracles import (coverage_loops, evaluate_sets, precision_recall_loops, random_region_sets,
                      semantic_scores_loops)
 
 
 def region_set(regions, universe=30):
-    return RegionSet([Region(frozenset(r), c) for r, c in regions], universe)
+    return oracles.region_set(regions, universe)
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,18 @@ def write_result(tmp_path, classes):
     return str(result_path), str(scene_path)
 
 
+def test_cli_eval_rejects_lines_after_the_declared_rows(tmp_path, capsys):
+    result, scene = write_result(tmp_path, [])
+    rows = Path(result).read_text()
+    Path(result).write_text(rows + "\n")  # a blank line after the rows is harmless
+    assert cli.main(["eval", "--result", result, "--scene", scene]) == 0
+    n = len(rows.splitlines()) - 1
+    Path(result).write_text(rows + "1 0\n1 0\ngarbage\n")
+    capsys.readouterr()
+    assert cli.main(["eval", "--result", result, "--scene", scene]) == cli.EXIT_DATA
+    assert f"line {n + 2}: unexpected line after the {n} declared rows" in capsys.readouterr().err
+
+
 def test_cli_eval_rejects_negative_class_naming_the_line(tmp_path, capsys):
     result, scene = write_result(tmp_path, [0, 1, -1])
     assert cli.main(["eval", "--result", result, "--scene", scene]) == cli.EXIT_DATA
