@@ -74,6 +74,13 @@ class _Reader:
         self.off += count
         return raw
 
+    def text(self, count: int, why: str) -> str:
+        at = self.off
+        try:
+            return self.take(count, why).decode()
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{why} at byte {at} is not UTF-8: {e}") from e
+
     def unpack(self, fmt: str, why: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), why))
 
@@ -83,7 +90,7 @@ def _read_array_map(r: _Reader) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<I", "name length")
-        name = r.take(name_len, "name").decode()
+        name = r.text(name_len, "name")
         code, ndim = r.unpack("<BB", "dtype/ndim")
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"array {name!r}: unknown dtype code {code}")
@@ -107,7 +114,7 @@ def load_checkpoint(path) -> Checkpoint:
     digests = []
     for _ in range(2):
         (dlen,) = r.unpack("<I", "digest length")
-        digests.append(r.take(dlen, "digest").decode())
+        digests.append(r.text(dlen, "digest"))
     params = _read_array_map(r)
     state = _read_array_map(r)
     if r.off != len(data):

@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, load_config
-from .data import SceneFormatError, SceneGenerationError, generate_scene, load_scene, save_scene
+from .data import (SceneFormatError, SceneGenerationError, generate_scene, load_scene,
+                   read_lines, save_scene)
 from .inference import NonFiniteOutputError, segment_scene
 from .metrics import evaluate
 from .train import grad_check, load_network, train
@@ -66,8 +67,7 @@ def _save_result(path, seg) -> None:
 
 
 def load_result(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("result v1"):
         raise SceneFormatError(f"{path}: missing result header")
     try:
@@ -136,8 +136,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    cfg = _resolve_config(args) if args.config else None
-    report = grad_check(cfg)
+    report = grad_check(_resolve_config(args))
     print(report.to_text())
     if args.out:
         out = Path(args.out)
@@ -191,7 +190,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SceneFormatError, SceneGenerationError, FileNotFoundError) as e:
+    except (SceneFormatError, SceneGenerationError, OSError) as e:  # missing file, directory
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except CheckpointError as e:

@@ -227,5 +227,9 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as f:
-        return parse_config_text(f.read())
+    try:
+        with open(path) as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    return parse_config_text(text)

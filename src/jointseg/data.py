@@ -387,9 +387,17 @@ def _save_scene_text(path: str, scene: Scene) -> None:
                 p[0], p[1], p[2], c[0], c[1], c[2], s, i))
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a text file; undecodable bytes raise ``SceneFormatError``."""
+    try:
+        with open(path) as f:
+            return f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise SceneFormatError(f"{path}: {e}") from e
+
+
 def _load_scene_text(path: str) -> Scene:
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("scene v"):
         raise SceneFormatError("missing scene header at byte 0")
     try:

@@ -10,13 +10,11 @@ the points can move cell edges and change the seeds. Converged modes within
 half a bandwidth are unified and every point joins its nearest mode through
 the nearest-centre query below. The window steps run in chunks of ``_CHUNK``
 rows, so their memory is O(``_CHUNK`` · n · K) instead of O(n² · K). Seeds
-that share a position are stepped once, found by one ``lexsort`` per
-iteration that also orders them along the points' widest axis. A chunk of
-such neighbouring centres is tested only against the points whose coordinate
-on that axis lies within a bandwidth of the chunk's span: the window test
-takes one GEMM over those candidates and recomputes directly only the pairs
-whose expanded distance lies too close to the bandwidth to trust. Window sums
-run over the members in their original order.
+that share a position are stepped once, found by one lexicographic ``lexsort``
+per iteration. A chunk's window test takes one GEMM against every point and
+recomputes directly only the pairs whose expanded distance lies too close to
+the bandwidth to trust. Window sums run over the members in their original
+order.
 Block merging maintains a voxel grid over the scene as arrays over its
 occupied voxels (one ``np.unique`` of the voxel keys): each block-local
 instance adopts the global id already covering enough of its voxels, or mints
@@ -43,7 +41,7 @@ from .data import Scene, split_into_blocks
 
 # Seeds or modes per chunk of the window steps. Each chunk's temporaries are a
 # few (_CHUNK, n) arrays at most: the tracemalloc peak of mean_shift on a
-# 4096 x 5 block is at most 3.6 MB on the bench's trained embeddings and 3.9 MB
+# 4096 x 5 block is at most 3.3 MB on the bench's trained embeddings and 3.9 MB
 # on Gaussian noise, whose 3305 seeds end in 2232 modes.
 _CHUNK = 64
 # Cells (query rows x candidate centres) per leaf of the nearest-centre query:
@@ -56,8 +54,7 @@ _NEAREST_CELLS = 2 ** 19
 # bw² in the window test, relative to max ‖c‖² + max ‖p‖² + bw² over a chunk
 # after centring, and around a point's minimum in the nearest-voxel query,
 # relative to ‖p‖² + max ‖c‖². The rounding error of either distance form is a
-# few K·2⁻⁵³ of that scale, far inside the band. The window's axis pruning
-# widens its reach by the same relative margin.
+# few K·2⁻⁵³ of that scale, far inside the band.
 _RECHECK_BAND = 1e-9
 
 
@@ -77,29 +74,12 @@ class MeanShiftConfig:
 
 
 class _Window:
-    """Flat-kernel window membership of centres against the points, equal to
+    """Flat-kernel window membership of centres against every point, equal to
     ``((c - p) ** 2).sum(-1) <= bw2`` pair for pair.
 
-    The points are argsorted once along their highest-variance axis a. A call
-    tests its centres only against the candidates: the points whose coordinate
-    on a lies within ``reach`` = bw · (1 + _RECHECK_BAND) of the centres' span
-    on a, found by two ``searchsorted``. Every other pair fails the direct
-    test. Rounding is monotone, so a point outside the rounded range bounds
-    lies outside the exact ones: more than ``reach`` from every centre on a.
-    Its rounded (c_a − p_a)² then exceeds bw2, because the band is far wider
-    than the rounding of the difference and of its square; and a float sum of
-    non-negative squares is at least its largest term.
-
-    A call returns the candidates' membership and their indices in ascending,
-    that is original, order. When the range covers every point, the indices
-    are a full slice and nothing is gathered. A lone centre also takes every
-    point: its window sum is then the same BLAS call (a GEMV, whose rounding
-    depends on its length) as an unchunked step of one seed, so the float64
-    mode of a seed that moves alone keeps the unchunked computation's bits.
-
-    Among the candidates d² − bw2 is expanded as ‖c‖² + ‖p‖² − 2·c·pᵀ − bw2
-    on mean-centred coordinates, so a chunk costs one GEMM; pairs within the
-    recheck band of bw² take the direct expression instead.
+    d² − bw2 is expanded as ‖c‖² + ‖p‖² − 2·c·pᵀ − bw2 on mean-centred
+    coordinates, so a call costs one GEMM; pairs within the recheck band of
+    bw² take the direct expression instead.
     """
 
     def __init__(self, pts: np.ndarray, bw2: float):
@@ -111,44 +91,32 @@ class _Window:
         self.p_sq_max = p_sq.max()
         # [c, 1, ‖c‖² − bw2] @ rhs = ‖c‖² + ‖p‖² − 2·c·pᵀ − bw2
         self.rhs = np.vstack([-2.0 * centred.T, p_sq, np.ones(len(pts))])
-        self.axis = int(pts.var(axis=0).argmax())
-        self.order = np.argsort(pts[:, self.axis], kind="stable")
-        self.sorted_axis = pts[self.order, self.axis]
-        self.reach = np.sqrt(bw2) * (1 + _RECHECK_BAND)
 
-    def __call__(self, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
-        """(within, cols): the membership of ``centres`` against ``pts[cols]``."""
-        span = centres[:, self.axis]
-        lo = np.searchsorted(self.sorted_axis, span.min() - self.reach, side="left")
-        hi = np.searchsorted(self.sorted_axis, span.max() + self.reach, side="right")
-        if len(centres) == 1 or hi - lo == len(self.order):
-            cols = slice(None)
-        else:
-            cols = np.sort(self.order[lo:hi])
+    def __call__(self, centres: np.ndarray) -> np.ndarray:
+        """The (m, n) membership of ``centres`` against every point."""
         c = centres - self.mean
         c_sq = (c ** 2).sum(axis=1)
         lhs = np.hstack([c, np.ones((len(c), 1)), (c_sq - self.bw2)[:, None]])
-        e = lhs @ self.rhs[:, cols]  # d² − bw2, up to rounding
+        e = lhs @ self.rhs  # d² − bw2, up to rounding
         slack = _RECHECK_BAND * (c_sq.max() + self.p_sq_max + self.bw2)
         within = e <= slack
         near = within & (e > -slack)
         if near.any():
             r, q = np.nonzero(near)
-            within[r, q] = ((centres[r] - self.pts[cols][q]) ** 2).sum(-1) <= self.bw2
-        return within, cols
+            within[r, q] = ((centres[r] - self.pts[q]) ** 2).sum(-1) <= self.bw2
+        return within
 
 
-def _distinct_rows(rows: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(distinct, first, inverse) of the rows of ``rows``, grouped by equal
-    values (0.0 and −0.0 alike) as ``np.unique(rows, axis=0)`` groups them.
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct, first, inverse) of the rows of ``rows``, grouped and ordered
+    as ``np.unique(rows, axis=0)`` groups and orders them: lexicographically,
+    first column first, 0.0 and −0.0 alike.
 
-    One stable ``lexsort`` with column ``axis`` as the primary key orders the
-    groups along that column; ``first`` holds each group's lowest row index,
+    One stable ``lexsort``; ``first`` holds each group's lowest row index,
     whose row is the group's representative, and ``rows[first][inverse]``
     equals ``rows`` up to the sign of zeros.
     """
-    keys = [k for k in range(rows.shape[1]) if k != axis] + [axis]
-    perm = np.lexsort(rows.T[keys])
+    perm = np.lexsort(rows.T[::-1])
     ordered = rows[perm]
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -161,9 +129,9 @@ def _distinct_rows(rows: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray,
 def _cell_seeds(pts: np.ndarray, bw: float) -> np.ndarray:
     """One seed per occupied cell of the grid of spacing ``bw``, keyed by
     ``round(p / bw)``: the cell's lexicographically smallest member point,
-    cells in key order (first column first, as ``np.unique(keys, axis=0)``
-    orders them; 0.0 and −0.0 alike). One stable ``lexsort`` over the keys,
-    then the points, puts each cell's smallest member first in its run.
+    cells in key order (as ``_distinct_rows`` orders them). The points are
+    sorted lexicographically first, so each cell's first member in that
+    order is its smallest.
 
     A key that overflows means bw is finer than the float spacing of the
     points by hundreds of orders of magnitude; every point seeds then, in
@@ -172,11 +140,9 @@ def _cell_seeds(pts: np.ndarray, bw: float) -> np.ndarray:
         keys = np.round(pts / bw)
     if not np.isfinite(keys).all():
         return pts.copy()
-    perm = np.lexsort(np.vstack([pts.T[::-1], keys.T[::-1]]))
-    keys = keys[perm]
-    starts = np.ones(len(pts), dtype=bool)
-    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return pts[perm[starts]]
+    perm = np.lexsort(pts.T[::-1])
+    _, first, _ = _distinct_rows(keys[perm])
+    return pts[perm[first]]
 
 
 def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -192,11 +158,10 @@ def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np
     partition depends on the grid's origin: a translation that moves points
     across cell edges changes the seeds, and with them the modes that survive
     the merge. Each iteration groups the still-moving seeds by position with
-    one ``lexsort``, in order along the window's pruning axis, and moves each
-    distinct position, ``_CHUNK`` at a time, to the mean of the points within
-    one bandwidth. A chunk of centres that lie close together on that axis is
-    tested only against the points near them on it. Support and merging run
-    over distinct modes, and each point joins its nearest mode by ``_nearest``.
+    one ``lexsort`` and moves each distinct position, ``_CHUNK`` at a time, to
+    the mean of the points within one bandwidth, found by one window test
+    against every point. Support and merging run over distinct modes, and
+    each point joins its nearest mode by ``_nearest``.
     No temporary exceeds ``_CHUNK`` · n · K floats, or ``_NEAREST_CELLS`` in
     the nearest-mode query. The window, merge and nearest-mode tests
     decide every pair as the direct distance expressions do, and window sums
@@ -221,19 +186,18 @@ def mean_shift(points: np.ndarray, cfg: MeanShiftConfig) -> tuple[np.ndarray, np
         if idx.size == 0:
             break
         # seeds at one position share their trajectory: step each position once
-        cur, _, inv = _distinct_rows(modes[idx], window.axis)
+        cur, _, inv = _distinct_rows(modes[idx])
         new = np.empty_like(cur)
         for s in range(0, len(cur), _CHUNK):
-            within, cols = window(cur[s:s + _CHUNK])
-            sums = within @ pts_1[cols]  # window sums, then the exact member count
+            sums = window(cur[s:s + _CHUNK]) @ pts_1  # window sums, then the exact member count
             new[s:s + _CHUNK] = sums[:, :-1] / sums[:, -1:]
         converged = np.linalg.norm(new - cur, axis=1) < cfg.tol
         modes[idx] = new[inv]
         active[idx[converged[inv]]] = False
 
     # copies of a mode share its support and merge into its first seed
-    uniq, first, _ = _distinct_rows(modes, window.axis)
-    support = np.concatenate([window(uniq[s:s + _CHUNK])[0].sum(axis=1)
+    uniq, first, _ = _distinct_rows(modes)
+    support = np.concatenate([window(uniq[s:s + _CHUNK]).sum(axis=1)
                               for s in range(0, len(uniq), _CHUNK)])
     order = np.lexsort((first, -support))  # support desc, seed index asc
     merge_r = cfg.bandwidth / 2
@@ -327,8 +291,7 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     need² = max guess + 2·b·max s over the leaf, each lies within need of its
     point with a spare of b·s in d², so inside the leaf's box widened by need
     on every axis: the rounding of g, of the guess and of the box edges is
-    far inside that spare. Each radius is a need times 1 + b, as
-    ``_Window``'s reach is: R starts at the previous leaf's, and if this
+    far inside that spare. Each radius is a need times 1 + b: R starts at the previous leaf's, and if this
     leaf's exceeds R, one retry at it suffices, because wider candidates
     only lower each guess; a retry whose box breaks the budget splits the
     leaf instead, and its parts start at the wider R. So the candidates hold

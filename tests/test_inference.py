@@ -1,14 +1,18 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jointseg import autodiff as ad
 from jointseg import inference
 from jointseg.backbone import LayerSpec
+from jointseg.config import RunConfig
 from jointseg.data import Scene, SyntheticSceneSpec, generate_scene, split_into_blocks
 from jointseg.inference import (BlockPrediction, MeanShiftConfig, block_merging, mean_shift,
                                 predict_block, segment_scene)
 from jointseg.network import SegmentationNetwork
+from jointseg.train import load_network
 
 from oracles import block_merging_loop, mean_shift_dense, nearest_full_scan
 
@@ -163,20 +167,11 @@ def test_matches_dense_on_lattice_with_pairs_on_the_threshold(offset):
 
 def window_membership(pts, bw2, centres=None):
     """The full (m, n) membership that ``_Window`` gives, called as mean_shift
-    calls it: on chunks of ``_CHUNK`` centres in order along its pruning axis.
-    Also returns the number of chunks whose candidates left points out."""
+    calls it: on chunks of ``_CHUNK`` centres."""
     window = inference._Window(pts, bw2)
     centres = pts if centres is None else centres
-    order = np.argsort(centres[:, window.axis], kind="stable")
-    full = np.zeros((len(centres), len(pts)), dtype=bool)
-    pruned = 0
-    for s in range(0, len(order), inference._CHUNK):
-        rows = order[s:s + inference._CHUNK]
-        within, cols = window(centres[rows])
-        cols = np.arange(len(pts))[cols]
-        pruned += len(cols) < len(pts)
-        full[np.ix_(rows, cols)] = within
-    return full, pruned
+    return np.concatenate([window(centres[s:s + inference._CHUNK])
+                           for s in range(0, len(centres), inference._CHUNK)])
 
 
 def direct_membership(centres, pts, bw2):
@@ -189,9 +184,7 @@ def direct_membership(centres, pts, bw2):
 def test_window_is_exact_on_lattice_threshold_pairs(scale, offset, bandwidth):
     pts = integer_lattice() * scale + offset
     bw2 = bandwidth ** 2
-    full, pruned = window_membership(pts, bw2)
-    assert pruned > 0
-    assert np.array_equal(full, direct_membership(pts, pts, bw2))
+    assert np.array_equal(window_membership(pts, bw2), direct_membership(pts, pts, bw2))
 
 
 def axis_lattice(bandwidth, offset):
@@ -205,40 +198,35 @@ def axis_lattice(bandwidth, offset):
 @pytest.mark.parametrize("bandwidth,offset", [
     (1.0, 0.0), (0.75, 0.25), (0.7, 0.1), (0.1, 1.1), (0.3, -2.9), (0.3, 12345.6), (1.0, 1e7),
 ])
-def test_window_is_exact_at_one_bandwidth_along_the_pruning_axis(bandwidth, offset):
+def test_window_is_exact_at_one_bandwidth_along_the_widest_axis(bandwidth, offset):
     pts = axis_lattice(bandwidth, offset)
     bw2 = bandwidth ** 2
-    assert inference._Window(pts, bw2).axis == 1
-    full, pruned = window_membership(pts, bw2)
-    assert pruned > 0
-    assert np.array_equal(full, direct_membership(pts, pts, bw2))
+    assert np.array_equal(window_membership(pts, bw2), direct_membership(pts, pts, bw2))
     # centres a hair beyond one bandwidth on the axis from a lattice row
     shifted = pts + np.array([0.0, bandwidth * (1 + 1e-15), 0.0])
-    full, _ = window_membership(pts, bw2, shifted)
-    assert np.array_equal(full, direct_membership(shifted, pts, bw2))
+    assert np.array_equal(window_membership(pts, bw2, shifted),
+                          direct_membership(shifted, pts, bw2))
 
 
 @pytest.mark.parametrize("bandwidth,offset", [(1.0, 0.0), (0.5, 0.0), (0.75, 0.25)])
-def test_matches_dense_at_one_bandwidth_along_the_pruning_axis(bandwidth, offset):
+def test_matches_dense_at_one_bandwidth_along_the_widest_axis(bandwidth, offset):
     # dyadic coordinates, so the window sums are exact in any order
     assert_matches_dense(axis_lattice(bandwidth, offset), MeanShiftConfig(bandwidth=bandwidth))
 
 
-def test_window_prunes_along_a_widest_axis_other_than_the_first():
+def test_window_is_exact_on_a_cloud_widest_along_its_third_axis():
     rng = np.random.default_rng(15)
     pts = (rng.standard_normal((700, 4)) * [0.3, 0.5, 2.5, 0.4]).astype(np.float32)
     pts64 = pts.astype(np.float64)
-    assert inference._Window(pts64, 0.36).axis == 2
-    full, pruned = window_membership(pts64, 0.36)
-    assert pruned > 0
-    assert np.array_equal(full, direct_membership(pts64, pts64, 0.36))
+    assert np.array_equal(window_membership(pts64, 0.36),
+                          direct_membership(pts64, pts64, 0.36))
     assert_matches_dense(pts)
 
 
 def test_window_on_a_cloud_without_variance_takes_every_point():
     pts = np.full((70, 3), 0.375)
-    within, cols = inference._Window(pts, 0.36)(pts[:5])
-    assert cols == slice(None)
+    within = inference._Window(pts, 0.36)(pts[:5])
+    assert within.shape == (5, 70)
     assert within.all()
     assert_matches_dense(pts)
 
@@ -256,18 +244,15 @@ def test_distinct_rows_group_as_numpy_unique():
     rng = np.random.default_rng(17)
     values = np.array([0.0, -0.0, 1.0, -1.5, 2.0 ** -1074, 1e300])
     rows = values[rng.integers(0, len(values), (3000, 3))]
-    for axis in range(3):
-        distinct, first, inverse = inference._distinct_rows(rows, axis)
-        ref, ref_first, ref_inverse = np.unique(rows, axis=0, return_index=True,
-                                                return_inverse=True)
-        ref_inverse = ref_inverse.reshape(-1)  # numpy 2.0.0 returns it 2-D
-        # the same partition of the rows, each group led by its lowest index
-        assert len(distinct) == len(ref)
-        assert np.array_equal(ref_inverse[first][inverse], ref_inverse)
-        assert np.array_equal(np.sort(first), np.sort(ref_first))
-        assert np.array_equal(distinct, rows[first])
-        assert (distinct[inverse] == rows).all()
-        assert (np.diff(distinct[:, axis]) >= 0).all()
+    distinct, first, inverse = inference._distinct_rows(rows)
+    ref, ref_first, ref_inverse = np.unique(rows, axis=0, return_index=True,
+                                            return_inverse=True)
+    # the same groups in the same order, each led by its lowest index
+    assert (distinct == ref).all()
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(inverse, ref_inverse.reshape(-1))  # numpy 2.0.0 returns it 2-D
+    assert np.array_equal(distinct, rows[first])
+    assert (distinct[inverse] == rows).all()
 
 
 def test_anisotropic_float32_clusters_match_dense_at_2048_points():
@@ -275,7 +260,6 @@ def test_anisotropic_float32_clusters_match_dense_at_2048_points():
     centres = rng.uniform(-3, 3, (8, 5)) * [0.3, 3.0, 0.8, 0.5, 1.0]
     pts = (centres[rng.integers(0, 8, 2048)]
            + rng.standard_normal((2048, 5)) * [0.05, 0.4, 0.2, 0.1, 0.3]).astype(np.float32)
-    assert inference._Window(pts.astype(np.float64), CFG.bandwidth ** 2).axis == 1
     assert_matches_dense(pts)
 
 
@@ -414,6 +398,29 @@ def test_peak_memory_at_paper_block_size():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+BENCH_MODEL = Path(__file__).resolve().parents[1] / "bench" / "model" / "c3_seed0.ckpt"
+
+
+@pytest.mark.parametrize("room,points_per_instance,points_per_block,picks", [
+    (1.5, (1400, 1550), 4096, [0]),
+    (3.0, (4700, 4950), 512, [0, 12, 24]),
+], ids=["room_1.5m_4096", "room_3m_512"])
+def test_trained_embeddings_match_dense(room, points_per_instance, points_per_block, picks):
+    # the committed model's embeddings on the benchmark's scene layouts
+    cfg = RunConfig(seed=0)  # the committed model's configuration
+    scene = generate_scene(SyntheticSceneSpec(seed=0, room_extent=(room, room, 0.8),
+                                              num_classes=4, instance_range=(6, 6),
+                                              points_per_instance=points_per_instance))
+    blocks = split_into_blocks(scene, cfg.block_size, cfg.stride, points_per_block,
+                               cfg.min_block_points, cfg.center_xy, np.random.default_rng(1))
+    network = load_network(cfg, BENCH_MODEL)
+    for i in picks:
+        with ad.no_grad():
+            embeddings = network.forward(blocks[i].features).embeddings.values
+        assert embeddings.shape == (points_per_block, cfg.embedding_dim)
+        assert_matches_dense(embeddings, cfg.mean_shift_config())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,16 @@ def test_cli_grad_check_exit_code(tmp_path):
     assert cli.main(["grad-check"]) == 0
 
 
+def test_cli_grad_check_follows_the_seed_option(tmp_path):
+    reports = {}
+    for seed in ("0", "5"):
+        assert cli.main(["grad-check", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+        # past the first line, which holds the runtime
+        reports[seed] = (tmp_path / seed / "grad_check.txt").read_text().splitlines()[1:]
+    assert reports["5"] != reports["0"]
+    assert reports["5"] == grad_check(RunConfig(seed=5)).to_text().splitlines()[1:]
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("learning_rate = -1\n")
@@ -425,6 +436,57 @@ def test_cli_diverged_training_exits_with_config_error(tmp_path, capsys):
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
+def undecodable(path, text=""):
+    """Write ``text`` followed by a line of bytes that are not UTF-8."""
+    path.write_bytes(text.encode() + b"\xff\xfe\x80\n")
+    return str(path)
+
+
+def test_cli_config_with_undecodable_bytes_is_a_config_error(tmp_path, capsys):
+    bad = undecodable(tmp_path / "bad.cfg", "seed = 1\n")
+    assert cli.main(["train", "--config", bad, "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_eval_result_with_undecodable_bytes_is_a_data_error(tmp_path, capsys):
+    result, scene = write_result(tmp_path, [])
+    undecodable(Path(result), "result v1 points=1\n")
+    assert cli.main(["eval", "--result", result, "--scene", scene]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+def test_cli_text_scene_with_undecodable_bytes_is_a_data_error(tmp_path, capsys, tiny_checkpoint):
+    scene_path = tmp_path / "scene.txt"
+    save_scene(str(scene_path), generate_scene(tiny_config().scene_spec(0)))
+    undecodable(scene_path, scene_path.read_text())
+    cfg_path = write_config(tmp_path / "c.cfg", tiny_config())
+    result, _ = write_result(tmp_path, [])
+    for argv in (["infer", "--config", cfg_path, "--checkpoint", tiny_checkpoint,
+                  "--scene", str(scene_path), "--out", str(tmp_path / "pred")],
+                 ["eval", "--result", result, "--scene", str(scene_path)]):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_DATA, argv[0]
+        assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("command,option", [
+    ("infer", "--scene"), ("infer", "--checkpoint"), ("eval", "--scene"), ("eval", "--result"),
+])
+def test_cli_directory_in_place_of_a_file_is_a_data_error(tmp_path, capsys, tiny_checkpoint,
+                                                          command, option):
+    result, scene = write_result(tmp_path, [])
+    args = {"infer": {"--config": write_config(tmp_path / "c.cfg", tiny_config()),
+                      "--checkpoint": tiny_checkpoint, "--scene": scene,
+                      "--out": str(tmp_path / "pred")},
+            "eval": {"--result": result, "--scene": scene}}[command]
+    args[option] = str(tmp_path)
+    assert cli.main([command, *(v for kv in args.items() for v in kv)]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
+
+
 def test_cli_data_error_exit_code(tmp_path):
     cfg_path = write_config(tmp_path / "c.cfg", tiny_config())
     code = cli.main(["eval", "--result", str(tmp_path / "missing.result"),
@@ -597,11 +659,13 @@ def test_cli_refuses_checkpoint_with_non_finite_parameter(tmp_path, capsys):
     assert repr(name) in capsys.readouterr().err
 
 
+BENCH_MODEL = Path(__file__).resolve().parents[1] / "bench" / "model" / "c3_seed0.ckpt"
+
+
 def test_cli_infer_refuses_a_checkpoint_whose_outputs_are_not_finite(tmp_path, capsys):
     # the committed benchmark model with its encoder head bias scaled by 1e37:
     # every parameter stays finite, so it loads, but every logit comes out NaN
-    ckpt = load_checkpoint(Path(__file__).resolve().parents[1] / "bench" / "model"
-                           / "c3_seed0.ckpt")
+    ckpt = load_checkpoint(BENCH_MODEL)
     ckpt.parameters["encoder.head.bias"] *= np.float32(1e37)
     assert all(np.isfinite(v).all() for v in ckpt.parameters.values())
     scaled = tmp_path / "scaled.ckpt"
@@ -618,4 +682,29 @@ def test_cli_infer_refuses_a_checkpoint_whose_outputs_are_not_finite(tmp_path, c
     assert code == cli.EXIT_CHECKPOINT
     err = capsys.readouterr().err
     assert "checkpoint error" in err and "logits are not finite" in err
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("field", ["digest", "name"])
+def test_cli_infer_refuses_a_checkpoint_with_undecodable_text(tmp_path, capsys, field):
+    # the committed model with the first byte of its config digest, or of its
+    # first parameter name, replaced by one that is not UTF-8
+    raw = bytearray(BENCH_MODEL.read_bytes())
+    at = 32  # magic (8 bytes), version and counters (20), the digest's length (4)
+    if field == "name":  # past both digests, the array count and the name's length
+        for _ in range(2):
+            at += struct.unpack_from("<I", raw, at - 4)[0] + 4
+        at += 4
+    raw[at] = 0xff
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    cfg = RunConfig(seed=0)  # the committed model's configuration
+    scene_path = tmp_path / "scene_000.scene"
+    save_scene(scene_path, generate_scene(cfg.scene_spec(0)))
+    code = cli.main(["infer", "--config", write_config(tmp_path / "c.cfg", cfg),
+                     "--checkpoint", str(bad), "--scene", str(scene_path),
+                     "--out", str(tmp_path / "pred")])
+    assert code == cli.EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and f"{field} at byte {at} is not UTF-8" in err
     assert not (tmp_path / "pred").exists()
