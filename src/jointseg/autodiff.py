@@ -2,11 +2,11 @@
 
 A small numpy-backed engine providing exactly the differentiable primitives
 the segmentation network needs: matrix products, per-point (kernel-size-1)
-convolutions fused with their bias and ReLU into one graph node, sums and
-products with single-axis broadcasting, scaling, a sigmoid, axis means,
-concatenation, row gather/scatter, grouped max pooling, a fused softmax
-cross-entropy, and the discriminative loss's per-row squared L1 hinge as one
-node.
+convolutions of one input or a tuple of inputs fused with their column
+concatenation, bias and ReLU into one graph node, sums and products with
+single-axis broadcasting, scaling, axis means, concatenation, the sigmoid
+gate of the joint head, row gather/scatter, grouped max pooling, a fused
+softmax cross-entropy, and the discriminative loss's per-row squared L1 hinge.
 
 Tensors are immutable after construction except for their ``grad`` buffers.
 Operations executed while recording is enabled (the default) build a dynamic
@@ -17,6 +17,7 @@ graph; ``backward`` on a scalar loss accumulates d(loss)/d(leaf) into the
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -208,20 +209,6 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
     return _make(x.values * c, (x,), backprop)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    v = x.values
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-
-    def backprop(g, accum):
-        accum(x, g * out * (1.0 - out))
-
-    return _make(out, (x,), backprop)
-
-
 def l1_hinge_squared(a: Tensor, b: Tensor, margin: float, below: bool = False) -> Tensor:
     """Per row, the squared hinge ``relu(±(Σ_j |a - b| - margin))²`` as one
     (N, 1) node.
@@ -286,20 +273,23 @@ def reduce_mean(x: Tensor, axis: int) -> Tensor:
     return _make(out, (x,), backprop)
 
 
+def _columns(parts: tuple[Tensor, ...], op: str) -> np.ndarray:
+    """Column-wise concatenation of 2-D operands; one operand is used as is."""
+    if any(p.values.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+        raise DimensionError(f"{op} needs 2-D operands with equal row counts, got {[p.shape for p in parts]}")
+    return parts[0].values if len(parts) == 1 else np.concatenate([p.values for p in parts], axis=1)
+
+
+def _split_columns(g: np.ndarray, parts: tuple[Tensor, ...], accum) -> None:
+    """Backward of ``_columns``: each operand takes its column view of g, in order."""
+    for p, stop in zip(parts, itertools.accumulate(p.shape[1] for p in parts)):
+        accum(p, g[:, stop - p.shape[1]:stop])
+
+
 def concat(a: Tensor, b: Tensor) -> Tensor:
     """Column-wise concatenation of two matrices with equal row counts."""
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise DimensionError(f"concat needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(f"concat row counts differ: {a.shape} vs {b.shape}")
-    c1 = a.shape[1]
-    out = np.concatenate([a.values, b.values], axis=1)
-
-    def backprop(g, accum):
-        accum(a, g[:, :c1])
-        accum(b, g[:, c1:])
-
-    return _make(out, (a, b), backprop)
+    return _make(_columns((a, b), "concat"), (a, b),
+                 lambda g, accum: _split_columns(g, (a, b), accum))
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -342,20 +332,22 @@ def rowmax_pool(x: Tensor, group_size: int) -> Tensor:
     return _make(out, (x,), backprop)
 
 
-def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor, activation: str = "relu") -> Tensor:
+def pointwise_conv(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
+                   activation: str = "relu") -> Tensor:
     """Per-point shared affine map x @ W + b with optional ReLU, as one node.
 
     This is a 1D convolution with kernel size 1: every point (row) is mapped
-    by the same (Cin, Cout) weight and (1, Cout) bias. The node's values and
-    gradients equal those of ``relu(add(matmul(x, W), b))`` bit for bit; the
-    ReLU takes subgradient 0 at the kink.
+    by the same (Cin, Cout) weight and (1, Cout) bias; a tuple ``x`` is taken
+    as its columns concatenated in order. Values and gradients equal those of
+    ``relu(add(matmul(concat(x), W), b))`` bit for bit (subgradient 0 at 0).
     """
     if activation not in ("relu", "none"):
         raise ValueError(f"unknown activation {activation!r}")
-    if x.values.ndim != 2 or weight.values.ndim != 2 or x.shape[1] != weight.shape[0]:
-        raise DimensionError(f"channel mismatch: input {x.shape} vs weight {weight.shape}")
-    _check_broadcast((x.shape[0], weight.shape[1]), bias.shape)
-    xv, wv = x.values, weight.values
+    parts = x if isinstance(x, tuple) else (x,)
+    xv, wv = _columns(parts, "pointwise_conv"), weight.values
+    if weight.values.ndim != 2 or xv.shape[1] != weight.shape[0]:
+        raise DimensionError(f"channel mismatch: input {xv.shape} vs weight {weight.shape}")
+    _check_broadcast((xv.shape[0], weight.shape[1]), bias.shape)
     out = xv @ wv + bias.values
     mask = out > 0 if activation == "relu" else None
     if mask is not None:
@@ -363,13 +355,32 @@ def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor, activation: str = "r
 
     def backprop(g, accum):
         gm = g if mask is None else g * mask
-        if x.requires_grad:
-            accum(x, gm @ wv.T)
+        if any(p.requires_grad for p in parts):
+            _split_columns(gm @ wv.T, parts, accum)
         if weight.requires_grad:
             accum(weight, xv.T @ gm)
         accum(bias, _unbroadcast(gm, bias.shape))
 
-    return _make(out, (x, weight, bias), backprop)
+    return _make(out, parts + (weight, bias), backprop)
+
+
+def gate(a: Tensor, b: Tensor) -> Tensor:
+    """``[a, b] · sigmoid(row mean of [a, b])`` as one node; values and
+    gradients equal those of concat, reduce_mean over axis 1, sigmoid and mul
+    bit for bit."""
+    cat = _columns((a, b), "gate")
+    v = cat.mean(axis=1, keepdims=True)
+    s = np.empty_like(v)
+    pos = v >= 0  # exp of a non-positive argument only, either side
+    s[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    s[~pos] = ev / (1.0 + ev)
+
+    def backprop(g, accum):
+        gs = (g * cat).sum(axis=1, keepdims=True)
+        _split_columns(g * s + gs * s * (1.0 - s) / cat.shape[1], (a, b), accum)
+
+    return _make(cat * s, (a, b), backprop)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

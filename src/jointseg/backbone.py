@@ -247,10 +247,8 @@ class SetAbstraction:
     def apply(self, feats: ad.Tensor, idx: np.ndarray, rel: ad.Tensor,
               scale: ad.Tensor | None) -> ad.Tensor:
         grouped = ad.gather_rows(feats, idx.ravel())  # (m*ns, C)
-        h = ad.concat(rel, grouped)
-        if scale is not None:
-            h = ad.mul(h, scale)
-        h = self.conv2(self.conv1(h))
+        parts = (rel, grouped) if scale is None else (ad.mul(rel, scale), ad.mul(grouped, scale))
+        h = self.conv2(self.conv1(parts))
         return ad.rowmax_pool(h, self.nsample)
 
     def parameters(self):
@@ -265,7 +263,7 @@ class FeaturePropagation:
         self.conv = Conv1x1(f"{name}.conv", cin, width, rng, dtype)
 
     def apply(self, up: ad.Tensor, skip: ad.Tensor) -> ad.Tensor:
-        return self.conv(ad.concat(skip, up))
+        return self.conv((skip, up))
 
     def parameters(self):
         return self.conv.parameters()

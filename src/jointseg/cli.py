@@ -8,6 +8,7 @@ category-coded: 0 success, 2 configuration, 3 data files/generation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -36,10 +37,32 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
+@contextlib.contextmanager
+def _output_dir(path):
+    """Create the ``--out`` directory (if one is given) before any work, so a
+    path that cannot be one is a config error; remove the directories made
+    here again, while still empty, when the command then fails."""
+    if path is None:
+        yield
+        return
+    out = Path(path)
+    made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {path} cannot be created as a directory: {e}") from e
+    try:
+        yield
+    except BaseException:
+        with contextlib.suppress(OSError):
+            for p in made:
+                p.rmdir()
+        raise
+
+
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for i in range(cfg.num_scenes):
         scene = generate_scene(cfg.scene_spec(i))
         path = out / f"scene_{i:03d}.scene"
@@ -108,9 +131,7 @@ def cmd_infer(args) -> int:
                             overlap_threshold=cfg.overlap_threshold)
     except NonFiniteOutputError as e:  # load_scene checked the scene, so the model is at fault
         raise CheckpointError(f"{args.checkpoint}: {e}") from e
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / (Path(args.scene).stem + ".result")
+    path = Path(args.out) / (Path(args.scene).stem + ".result")
     _save_result(path, seg)
     print(f"segmented {len(seg.semantic)} points into {seg.num_instances} instances "
           f"({seg.uncovered_points} resolved via nearest voxel)")
@@ -128,7 +149,6 @@ def cmd_eval(args) -> int:
     print(report.to_text())
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(report.to_text() + "\n")
         (out / "report.kv").write_text("\n".join(report.to_kv_lines()) + "\n")
         print(f"report: {out / 'report.txt'}")
@@ -139,9 +159,7 @@ def cmd_grad_check(args) -> int:
     report = grad_check(_resolve_config(args))
     print(report.to_text())
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "grad_check.txt").write_text(report.to_text() + "\n")
+        (Path(args.out) / "grad_check.txt").write_text(report.to_text() + "\n")
     return 0 if report.max_rel_error < 1e-5 else 1
 
 
@@ -186,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _output_dir(args.out):
+            return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

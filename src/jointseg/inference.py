@@ -16,7 +16,7 @@ recomputes directly only the pairs whose expanded distance lies too close to
 the bandwidth to trust. Window sums run over the members in their original
 order.
 Block merging maintains a voxel grid over the scene as arrays over its
-occupied voxels (one ``np.unique`` of the voxel keys): each block-local
+occupied voxels (one ``_distinct_rows`` of the voxel keys): each block-local
 instance adopts the global id already covering enough of its voxels, or mints
 a new one, and every scene point finally takes the id of its voxel. Points in
 unlabeled voxels take the nearest labeled voxel; exact distance ties go to the
@@ -403,9 +403,7 @@ def block_merging(predictions: list[BlockPrediction], scene: Scene, num_classes:
         raise ValueError(f"overlap_threshold must be in (0, 1], got {overlap_threshold}")
     n = scene.num_points
     voxel_size = scene.room_extent / voxel_divisions
-    keys, point_voxel = np.unique(np.floor(scene.points / voxel_size).astype(np.int64),
-                                  axis=0, return_inverse=True)
-    point_voxel = point_voxel.reshape(-1)  # numpy 2.0.0 returns it 2-D
+    keys, _, point_voxel = _distinct_rows(np.floor(scene.points / voxel_size).astype(np.int64))
 
     empty = [np.empty(0, dtype=np.int64)]
     sampled = np.concatenate([p.point_indices for p in predictions] or empty)

@@ -3,11 +3,11 @@
 Two cross-wired branches sit on top of the fused backbone features. The
 instance branch transforms semantic features into the instance space, adds
 them to the instance features, gates the concatenated result by a per-point
-sigmoid of its feature mean, and maps it to a K-dim embedding. The semantic
-branch aggregates the gated instance features into one global context row
-(convolution, then mean over points), adds it to every row of the semantic
-features by broadcasting, applies the same gating pattern, and maps to class
-logits.
+sigmoid of its feature mean (one ``ad.gate`` node), and maps it to a K-dim
+embedding. The semantic branch aggregates the gated instance features into
+one global context row (convolution, then mean over points), adds it to
+every row of the semantic features by broadcasting, gates in the same way,
+and maps to class logits.
 
 Either cross-injection can be disabled: with instance fusion off the
 semantic-to-instance transform is replaced by zero, with semantic fusion off
@@ -30,13 +30,9 @@ class JointHeadFeatures:
 
     sem_to_ins: ad.Tensor      # (N, W)   transformed semantic features
     ins_fused: ad.Tensor       # (N, W)   instance features + transform
-    ins_cat: ad.Tensor         # (N, 2W)  concat of instance and fused features
-    ins_gate: ad.Tensor        # (N, 1)   sigmoid of per-point feature mean
-    ins_gated: ad.Tensor       # (N, 2W)  gated instance fusion features
+    ins_gated: ad.Tensor       # (N, 2W)  gated [instance, fused] features
     ins_context: ad.Tensor     # (1, W)   global instance context
-    sem_cat: ad.Tensor         # (N, 2W)  concat of semantic and context-fused
-    sem_gate: ad.Tensor        # (N, 1)
-    sem_gated: ad.Tensor       # (N, 2W)
+    sem_gated: ad.Tensor       # (N, 2W)  gated [semantic, context-fused]
     embeddings: ad.Tensor      # (N, K)
     logits: ad.Tensor          # (N, C)
 
@@ -81,12 +77,9 @@ class JointSegmentationHead:
         else:
             sem_t = ad.Tensor(np.zeros_like(f_ins.values))
             fused = f_ins
-        cat = ad.concat(f_ins, fused)                                  # (N, 2W)
-        gate = ad.sigmoid(ad.reduce_mean(cat, axis=1))
-        gated = ad.mul(cat, gate)
+        gated = ad.gate(f_ins, fused)                                  # (N, 2W)
         emb = self.ins_head2(self.ins_head1(gated))
-        return emb, gated, {"sem_to_ins": sem_t, "ins_fused": fused, "ins_cat": cat,
-                            "ins_gate": gate, "ins_gated": gated}
+        return emb, gated, {"sem_to_ins": sem_t, "ins_fused": fused, "ins_gated": gated}
 
     def semantic_branch(self, f_sem: ad.Tensor, ins_gated: ad.Tensor):
         """Instance-aware class logits from the gated instance features."""
@@ -96,12 +89,9 @@ class JointSegmentationHead:
         else:
             context = ad.Tensor(np.zeros_like(f_sem.values[:1]))
             fused = f_sem
-        cat = ad.concat(f_sem, fused)                                  # (N, 2W)
-        gate = ad.sigmoid(ad.reduce_mean(cat, axis=1))
-        gated = ad.mul(cat, gate)
+        gated = ad.gate(f_sem, fused)                                  # (N, 2W)
         logits = self.sem_head2(self.sem_head1(gated))
-        return logits, {"ins_context": context, "sem_cat": cat, "sem_gate": gate,
-                        "sem_gated": gated}
+        return logits, {"ins_context": context, "sem_gated": gated}
 
     def __call__(self, f_sem: ad.Tensor, f_ins: ad.Tensor) -> JointHeadFeatures:
         emb, ins_gated, a = self.instance_branch(f_sem, f_ins)

@@ -10,7 +10,8 @@ from . import autodiff as ad
 class Conv1x1:
     """A kernel-size-1 convolution: per-point affine map plus activation.
 
-    Owns a (cin, cout) weight and a (1, cout) bias as named parameters.
+    Owns a (cin, cout) weight and a (1, cout) bias as named parameters. The
+    input is one tensor or a tuple whose columns are taken in order.
     """
 
     def __init__(self, name: str, cin: int, cout: int, rng: np.random.Generator,
@@ -21,7 +22,7 @@ class Conv1x1:
                                    ad.he_uniform((cin, cout), fan_in=cin, rng=rng, dtype=dtype))
         self.bias = ad.Parameter(f"{name}.bias", np.zeros((1, cout), dtype=dtype))
 
-    def __call__(self, x: ad.Tensor) -> ad.Tensor:
+    def __call__(self, x: ad.Tensor | tuple[ad.Tensor, ...]) -> ad.Tensor:
         return ad.pointwise_conv(x, self.weight, self.bias, self.activation)
 
     def parameters(self) -> list[ad.Parameter]:

@@ -77,7 +77,8 @@ def discriminative_loss(embeddings: ad.Tensor, grouping: InstanceGrouping,
     Pull averages the per-point squared hinge within each instance and then
     over instances; push averages squared hinges over ordered pairs of
     distinct instance means (zero for a single instance), which equals the
-    mean over unordered pairs. All distances are L1.
+    mean over unordered pairs. All distances are L1. Both terms are zero for
+    an empty grouping, as a block without annotated points gives.
 
     The graph has the same nodes for any number of instances above one: the
     means are one product of a constant (m, N_a) averaging matrix with the
@@ -86,9 +87,10 @@ def discriminative_loss(embeddings: ad.Tensor, grouping: InstanceGrouping,
     over the m(m-1)/2 gathered pairs of means.
     """
     m = grouping.num_instances
-    if m < 1:
-        raise ValueError("grouping must contain at least one instance")
     dtype = embeddings.dtype
+    if m == 0:
+        zero = ad.Tensor(np.zeros((1, 1), dtype=dtype))
+        return DiscriminativeLossTerms(total=zero, pull=zero, push=zero)
     owner = grouping.owner
     n_a = owner.size
     sizes = np.bincount(owner, minlength=m)

@@ -415,9 +415,9 @@ def nearest_full_scan(points: np.ndarray, centres: np.ndarray, rows: int = 16,
 # ---------------------------------------------------------------------------
 # general primitives the package no longer calls
 #
-# The fused nodes (``ad.pointwise_conv``, ``ad.l1_hinge_squared``) replaced
-# these in the package; the references below compose them, and tests use
-# ``reduce_sum`` to reduce outputs to a scalar.
+# The fused nodes (``ad.pointwise_conv``, ``ad.l1_hinge_squared``,
+# ``ad.gate``) replaced these in the package; the references below compose
+# them, and tests use ``reduce_sum`` to reduce outputs to a scalar.
 
 def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     ad._check_broadcast(a.shape, b.shape)
@@ -453,6 +453,20 @@ def relu(x: ad.Tensor) -> ad.Tensor:
     return ad._make(np.where(mask, x.values, 0), (x,), backprop)
 
 
+def sigmoid(x: ad.Tensor) -> ad.Tensor:
+    v = x.values
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+
+    def backprop(g, accum):
+        accum(x, g * out * (1.0 - out))
+
+    return ad._make(out, (x,), backprop)
+
+
 def absolute(x: ad.Tensor) -> ad.Tensor:
     sign = np.sign(x.values)
 
@@ -483,7 +497,7 @@ def reduce_sum(x: ad.Tensor, axis: int | None = None) -> ad.Tensor:
 
 
 # ---------------------------------------------------------------------------
-# unfused 1x1 convolution and L1 hinge references
+# unfused 1x1 convolution, gate and L1 hinge references
 
 def pointwise_conv_unfused(x: ad.Tensor, weight: ad.Tensor, bias: ad.Tensor,
                            activation: str = "relu") -> ad.Tensor:
@@ -491,6 +505,14 @@ def pointwise_conv_unfused(x: ad.Tensor, weight: ad.Tensor, bias: ad.Tensor,
     ``ad.pointwise_conv`` must equal it bit for bit in values and gradients."""
     out = ad.add(ad.matmul(x, weight), bias)
     return relu(out) if activation == "relu" else out
+
+
+def gate_unfused(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """[a, b] · sigmoid(row mean of [a, b]) as four graph nodes (concat,
+    reduce_mean, sigmoid, mul); ``ad.gate`` must equal it bit for bit in
+    values and gradients."""
+    cat = ad.concat(a, b)
+    return ad.mul(cat, sigmoid(ad.reduce_mean(cat, axis=1)))
 
 
 def l1_hinge_squared_unfused(a: ad.Tensor, b: ad.Tensor, margin: float,

@@ -6,8 +6,8 @@ import pytest
 
 from jointseg import autodiff as ad
 from jointseg.layers import Conv1x1
-from oracles import (absolute, add_scalar, fd_grad, l1_hinge_squared_unfused, max_rel_err, neg,
-                     pointwise_conv_unfused, reduce_sum, relu, sub)
+from oracles import (absolute, add_scalar, fd_grad, gate_unfused, l1_hinge_squared_unfused,
+                     max_rel_err, neg, pointwise_conv_unfused, reduce_sum, relu, sigmoid, sub)
 
 
 def scalar_loss(out: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
@@ -165,12 +165,92 @@ def test_pointwise_conv_relu_keeps_the_bits_of_where_on_special_values(dtype):
         assert np.array_equal(bits(got), bits(want))
 
 
+@pytest.mark.parametrize("activation", ["relu", "none"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tuple_pointwise_conv_equals_concat_then_conv(activation, dtype):
+    # three inputs; the first carries no gradient, as the relative
+    # coordinates of a set-abstraction layer do
+    x0, w0, b0 = conv_case(dtype)
+    cols = ((0, 1), (1, 4), (4, 6))
+    probe = np.random.default_rng(1).standard_normal((40, 5)).astype(dtype)
+    results = []
+    for fused in (True, False):
+        xs = [ad.Tensor(x0[:, i:j], requires_grad=k > 0) for k, (i, j) in enumerate(cols)]
+        w, b = ad.Tensor(w0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+        x = tuple(xs) if fused else ad.concat(ad.concat(xs[0], xs[1]), xs[2])
+        out = ad.pointwise_conv(x, w, b, activation)
+        assert (out._parents == (*xs, w, b)) == fused
+        ad.backward(scalar_loss(out, probe))
+        results.append((out.values, w.grad, b.grad) + tuple(t.grad for t in xs))
+    fused, unfused = results
+    assert fused[0].dtype == unfused[0].dtype == dtype and fused[3] is None
+    assert [g.shape for g in fused[4:]] == [(40, 3), (40, 2)]
+    for got, want in zip(fused, unfused):
+        assert got is want is None or np.array_equal(got, want)
+
+
+def test_tuple_pointwise_conv_checks_row_counts_and_channels():
+    w, b = ad.Tensor(np.zeros((5, 2))), ad.Tensor(np.zeros((1, 2)))
+    with pytest.raises(ad.DimensionError, match="equal row counts"):
+        ad.pointwise_conv((ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((3, 2)))), w, b)
+    with pytest.raises(ad.DimensionError, match=r"\(4, 4\).*\(5, 2\)"):
+        ad.pointwise_conv((ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((4, 1)))), w, b)
+    x = ad.Tensor(np.ones((4, 5)))
+    out = ad.pointwise_conv((x,), ad.Tensor(np.ones((5, 2))), b, "none")
+    assert np.array_equal(out.values, np.full((4, 2), 5.0))
+
+
 def test_conv1x1_output_is_one_node():
     layer = Conv1x1("c", 3, 4, np.random.default_rng(0))
     x = ad.Tensor(np.ones((5, 3), dtype=np.float32), requires_grad=True)
     out = layer(x)
     assert len(out._parents) == 3
     assert all(p is q for p, q in zip(out._parents, (x, layer.weight, layer.bias)))
+
+
+# ---------------------------------------------------------------------------
+# sigmoid gate
+
+def gate_case(dtype, seed=0):
+    """a (N, 3) and b (N, 5) whose row means over [a, b] are negative in the
+    first 20 rows, positive in the next 20 and exactly 0 in the last 4."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((44, 3)).astype(dtype)
+    b = rng.standard_normal((44, 5)).astype(dtype)
+    a[:20] -= 2
+    b[20:40] += 2
+    a[40:], b[40:] = [[1, -1, 2]], [[-2, 0, 0.5, -0.5, 0]]
+    return a, b
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gate_equals_unfused_composition(dtype):
+    a0, b0 = gate_case(dtype)
+    mean = np.concatenate([a0, b0], axis=1).mean(axis=1)
+    assert (mean[:20] < 0).all() and (mean[20:40] > 0).all() and (mean[40:] == 0).all()
+    probe = np.random.default_rng(1).standard_normal((44, 8)).astype(dtype)
+    results = []
+    for gate in (ad.gate, gate_unfused):
+        a, b = ad.Tensor(a0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+        out = gate(a, b)
+        ad.backward(scalar_loss(out, probe))
+        results.append((out.values, a.grad, b.grad))
+    fused, unfused = results
+    assert fused[0].shape == (44, 8) and fused[0].dtype == unfused[0].dtype == dtype
+    assert fused[1].shape == (44, 3) and fused[2].shape == (44, 5)
+    for got, want in zip(fused, unfused):
+        assert np.array_equal(got, want)
+
+
+def test_gate_is_one_node_and_checks_shapes():
+    a = ad.Tensor(np.array([[1.0, -1.0]]), requires_grad=True)
+    b = ad.Tensor(np.array([[3.0]]))
+    out = ad.gate(a, b)
+    assert out._parents == (a, b)
+    s = 1 / (1 + math.exp(-1.0))
+    assert np.allclose(out.values, [[s, -s, 3 * s]], rtol=1e-15, atol=0)
+    with pytest.raises(ad.DimensionError, match="equal row counts"):
+        ad.gate(a, ad.Tensor(np.zeros((2, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +302,9 @@ def test_l1_hinge_squared_is_one_node_and_checks_shapes():
 # elementwise
 
 def test_sigmoid_at_zero():
-    assert ad.sigmoid(ad.Tensor([[0.0]])).item() == 0.5
+    assert sigmoid(ad.Tensor([[0.0]])).item() == 0.5
+    half = ad.gate(ad.Tensor([[1.0, -2.0]]), ad.Tensor([[1.0]])).values
+    assert np.array_equal(half, [[0.5, -1.0, 0.5]])
 
 
 def test_add_zero_identity():
@@ -404,7 +486,10 @@ PRIMITIVES = {
     "add_scalar": lambda x: add_scalar(x, 0.7),
     "mul_scalar": lambda x: ad.mul_scalar(x, -1.3),
     "relu": relu,
-    "sigmoid": ad.sigmoid,
+    "sigmoid": sigmoid,
+    "gate_left": lambda x: ad.gate(x, ad.Tensor(_const((4, 2), 25))),
+    "gate_right": lambda x: ad.gate(ad.Tensor(_const((4, 2), 26)), x),
+    "gate_both": lambda x: ad.gate(x, x),
     "absolute": absolute,
     "matmul_left": lambda x: ad.matmul(x, ad.Tensor(_const((3, 2), 15))),
     "matmul_right": lambda x: ad.matmul(ad.Tensor(_const((2, 4), 16)), x),
@@ -419,6 +504,12 @@ PRIMITIVES = {
         x, ad.Tensor(_const((3, 2), 18)), ad.Tensor(_const((1, 2), 19)), "relu"),
     "conv_none": lambda x: ad.pointwise_conv(
         x, ad.Tensor(_const((3, 2), 20)), ad.Tensor(_const((1, 2), 21)), "none"),
+    "conv_tuple_left": lambda x: ad.pointwise_conv(
+        (x, ad.Tensor(_const((4, 2), 27))), ad.Tensor(_const((5, 2), 28)),
+        ad.Tensor(_const((1, 2), 29)), "relu"),
+    "conv_tuple_right": lambda x: ad.pointwise_conv(
+        (ad.Tensor(_const((4, 2), 30)), x), ad.Tensor(_const((5, 2), 31)),
+        ad.Tensor(_const((1, 2), 32)), "none"),
     "l1_hinge_above": lambda x: ad.l1_hinge_squared(x, ad.Tensor(_const((4, 3), 23)), 1.5),
     "l1_hinge_below": lambda x: ad.l1_hinge_squared(
         ad.Tensor(_const((4, 3), 24)), x, 4.0, below=True),

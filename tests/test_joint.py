@@ -30,8 +30,10 @@ def test_zero_transform_gives_half_gate():
     f_ins_v = rng.standard_normal((4, 8))
     f_ins_v -= f_ins_v.mean(axis=1, keepdims=True)  # per-point feature mean 0
     out = head(ad.Tensor(rng.standard_normal((4, 8))), ad.Tensor(f_ins_v))
-    assert np.allclose(out.ins_gate.values, 0.5)
-    assert np.allclose(out.ins_gated.values, 0.5 * out.ins_cat.values)
+    assert np.array_equal(out.ins_fused.values, f_ins_v)
+    cat = np.concatenate([f_ins_v, f_ins_v], axis=1)
+    assert np.allclose(gate_of(out.ins_gated.values, cat), 0.5)
+    assert np.allclose(out.ins_gated.values, 0.5 * cat)
 
 
 def test_zero_semantic_features_leave_instance_features_unchanged():
@@ -43,19 +45,40 @@ def test_zero_semantic_features_leave_instance_features_unchanged():
     assert np.array_equal(out.ins_fused.values, f_ins.values)
 
 
+def gate_of(gated, cat):
+    """The per-point gate that scaled ``cat`` into ``gated``: one (N, 1) column,
+    the same for every channel of a point."""
+    ratio = gated / cat
+    assert np.allclose(ratio, ratio[:, :1], rtol=1e-12, atol=0)
+    return ratio[:, :1]
+
+
+def concats(f_sem, f_ins, out):
+    """The instance and semantic branches' concatenated features, before gating."""
+    sem_fused = f_sem.values + out.ins_context.values
+    return (np.concatenate([f_ins.values, out.ins_fused.values], axis=1),
+            np.concatenate([f_sem.values, sem_fused], axis=1))
+
+
 def test_output_shapes():
     head = make_head(num_classes=6, embedding_dim=5)
-    out = head(*inputs())
+    f_sem, f_ins = inputs()
+    out = head(f_sem, f_ins)
     assert out.logits.shape == (4, 6)
     assert out.embeddings.shape == (4, 5)
-    assert out.ins_cat.shape == (4, 16) and out.sem_cat.shape == (4, 16)
-    assert out.ins_gate.shape == (4, 1)
+    assert out.ins_gated.shape == (4, 16) and out.sem_gated.shape == (4, 16)
+    ins_cat, sem_cat = concats(f_sem, f_ins, out)
+    assert gate_of(out.ins_gated.values, ins_cat).shape == (4, 1)
+    assert gate_of(out.sem_gated.values, sem_cat).shape == (4, 1)
 
 
 def test_gates_strictly_between_zero_and_one():
     head = make_head(seed=4)
-    out = head(*inputs(seed=5))
-    for gate in (out.ins_gate.values, out.sem_gate.values):
+    f_sem, f_ins = inputs(seed=5)
+    out = head(f_sem, f_ins)
+    ins_cat, sem_cat = concats(f_sem, f_ins, out)
+    for gated, cat in ((out.ins_gated, ins_cat), (out.sem_gated, sem_cat)):
+        gate = gate_of(gated.values, cat)
         assert np.all(gate > 0) and np.all(gate < 1)
 
 

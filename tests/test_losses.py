@@ -47,6 +47,26 @@ def test_single_instance_push_is_zero():
     assert terms.push.item() == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_empty_grouping_gives_zero_terms_and_leaves_cross_entropy_alone(dtype):
+    # a block whose points are all unannotated (instance id -1)
+    grouping = InstanceGrouping.from_labels(np.full(6, -1))
+    assert grouping.num_instances == 0
+    rng = np.random.default_rng(1)
+    emb = ad.Tensor(rng.standard_normal((6, 3)).astype(dtype), requires_grad=True)
+    terms = discriminative_loss(emb, grouping, CFG)
+    for t in terms:
+        assert t.shape == (1, 1) and t.dtype == dtype and t.item() == 0.0
+    logits = ad.Tensor(rng.standard_normal((6, 4)).astype(dtype), requires_grad=True)
+    labels = np.array([0, 1, 2, 3, 0, 1])
+    loss = total_loss(logits, labels, emb, grouping, CFG)
+    assert loss.values.tobytes() == ad.softmax_cross_entropy(logits, labels).values.tobytes()
+    ad.backward(loss)
+    assert emb.grad is None and np.isfinite(logits.grad).all()
+    with pytest.raises(ValueError, match="at least one instance"):
+        discriminative_loss_loop(emb, grouping, CFG)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -165,7 +185,7 @@ def test_graph_nodes_per_default_training_block():
     # updates this bound on purpose
     cfg = RunConfig()
     network, (prepared,) = default_blocks(cfg, 1)
-    assert len(ad.graph_nodes(_block_loss(network, prepared, cfg))) <= 121
+    assert len(ad.graph_nodes(_block_loss(network, prepared, cfg))) <= 108
 
 
 def test_parameter_gradients_match_per_instance_loop():

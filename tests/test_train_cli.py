@@ -708,3 +708,56 @@ def test_cli_infer_refuses_a_checkpoint_with_undecodable_text(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "checkpoint error" in err and f"{field} at byte {at} is not UTF-8" in err
     assert not (tmp_path / "pred").exists()
+
+
+# ---------------------------------------------------------------------------
+# --out that cannot be a directory, and unannotated training scenes
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "infer", "eval", "grad-check"])
+def test_cli_out_that_cannot_be_created_is_a_config_error_before_any_work(
+        tmp_path, capsys, tiny_checkpoint, command):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    cfg_path = write_config(tmp_path / "c.cfg", tiny_config())
+    result, scene = write_result(tmp_path, [])
+    argv = {"gen-data": ["--config", cfg_path],
+            "train": ["--config", cfg_path],
+            "infer": ["--config", cfg_path, "--checkpoint", tiny_checkpoint, "--scene", scene],
+            "eval": ["--result", result, "--scene", scene],
+            "grad-check": []}[command]
+    capsys.readouterr()
+    assert cli.main([command, *argv, "--out", str(blocker)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran: no scene, report or segmentation printed
+    assert "config error" in captured.err and f"--out {blocker}" in captured.err
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_cli_failed_command_removes_the_out_directories_it_made(tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    assert cli.main(["eval", "--result", str(tmp_path / "missing.result"),
+                     "--scene", str(tmp_path / "missing.scene"), "--out", str(out)]) == cli.EXIT_DATA
+    assert not (tmp_path / "a").exists()
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "keep").write_text("")
+    assert cli.main(["grad-check", "--config", str(tmp_path / "missing.cfg"),
+                     "--out", str(out)]) == cli.EXIT_DATA
+    assert not out.exists() and (tmp_path / "a" / "keep").exists()
+
+
+def test_cli_trains_on_scenes_without_annotated_instances(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    cfg = tiny_config(data_dir=str(scenes), iterations=3)
+    for i in range(cfg.num_scenes):
+        scene = generate_scene(cfg.scene_spec(i))
+        scene.instance_ids[:] = -1
+        save_scene(str(scenes / f"scene_{i:03d}.scene"), scene)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", write_config(tmp_path / "c.cfg", cfg),
+                     "--out", str(run)]) == 0
+    assert (run / "model.ckpt").exists()
+    ckpt = load_checkpoint(run / "model.ckpt")
+    assert all(np.isfinite(v).all() for v in ckpt.parameters.values())
+    losses = [float(v) for v in (run / "loss_trace.txt").read_text().split()]
+    assert len(losses) == 3 and all(math.isfinite(v) for v in losses)
