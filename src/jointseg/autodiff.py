@@ -3,10 +3,11 @@
 A small numpy-backed engine providing exactly the differentiable primitives
 the segmentation network needs: matrix products, per-point (kernel-size-1)
 convolutions of one input or a tuple of inputs fused with their column
-concatenation, bias and ReLU into one graph node, sums and products with
-single-axis broadcasting, scaling, axis means, concatenation, the sigmoid
-gate of the joint head, row gather/scatter, grouped max pooling, a fused
-softmax cross-entropy, and the discriminative loss's per-row squared L1 hinge.
+concatenation, bias and ReLU into one graph node, sums (of one input or a
+tuple of inputs taken as their concatenated columns) and products with
+single-axis broadcasting, scaling, axis means, the sigmoid gate of the joint
+head, row gather/scatter, grouped max pooling, a fused softmax
+cross-entropy, and the discriminative loss's per-row squared L1 hinge.
 
 Tensors are immutable after construction except for their ``grad`` buffers.
 Operations executed while recording is enabled (the default) build a dynamic
@@ -175,15 +176,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-    out = a.values + b.values
+def add(a: Tensor | tuple[Tensor, ...], b: Tensor) -> Tensor:
+    """a + b over 2-D operands with single-axis broadcasting, as one node.
+
+    A tuple ``a`` is taken as its columns concatenated in order. Values and
+    gradients equal those of ``add(concat(a), b)`` bit for bit.
+    """
+    parts = a if isinstance(a, tuple) else (a,)
+    av = _columns(parts, "add")
+    _check_broadcast(av.shape, b.shape)
+    shape = av.shape
 
     def backprop(g, accum):
-        accum(a, _unbroadcast(g, a.shape))
+        _split_columns(_unbroadcast(g, shape), parts, accum)
         accum(b, _unbroadcast(g, b.shape))
 
-    return _make(out, (a, b), backprop)
+    return _make(av + b.values, parts + (b,), backprop)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -284,12 +292,6 @@ def _split_columns(g: np.ndarray, parts: tuple[Tensor, ...], accum) -> None:
     """Backward of ``_columns``: each operand takes its column view of g, in order."""
     for p, stop in zip(parts, itertools.accumulate(p.shape[1] for p in parts)):
         accum(p, g[:, stop - p.shape[1]:stop])
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Column-wise concatenation of two matrices with equal row counts."""
-    return _make(_columns((a, b), "concat"), (a, b),
-                 lambda g, accum: _split_columns(g, (a, b), accum))
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:

@@ -1,20 +1,21 @@
 """Shared encoder and twin decoders over point features.
 
-The encoder stacks downsample-group-summarize layers (sample centers by
-farthest-point sampling, gather ball neighborhoods, run a shared per-point
-MLP on relative-coordinate-augmented features, max-reduce per group) down to
-a coarse level of 512-wide features. Two structurally identical but
-independently parameterized decoders upsample back to full resolution with
+The encoder stacks three downsample-group-summarize levels (sample centers
+by farthest-point sampling, gather ball neighborhoods, run two shared
+per-point convolutions on relative-coordinate-augmented features, max-reduce
+per group) and a head to a coarse level of 512-wide features. Two
+structurally identical but independently parameterized decoders of three
+convolutions each upsample back to full resolution with
 inverse-square-distance interpolation over 3 nearest neighbors plus skip
 connections, each exposing its last three layer outputs for feature fusion
 (the mid one as the full-resolution product that its last layer consumes).
 
 All point selections and interpolation weights depend only on coordinates,
-never on parameters, so they are precomputed into a ``BlockGeometry`` that a
-training loop can cache across iterations. The selections are exact, with
-distance ties going to the lowest point index as under a stable sort, yet no
-row of distances is fully sorted (see ``ball_group`` and
-``nearest_neighbor_interpolation``).
+never on parameters, so ``Backbone.compute_geometry`` precomputes them from
+the ``LayerSpec`` into a ``BlockGeometry`` that a training loop can cache
+across iterations. The selections are exact, with distance ties going to
+the lowest point index as under a stable sort, yet no row of distances is
+fully sorted (see ``ball_group`` and ``nearest_neighbor_interpolation``).
 """
 
 from __future__ import annotations
@@ -200,8 +201,9 @@ class BlockGeometry:
     """Coordinate-derived constants of one block, reusable across iterations.
 
     levels: coordinates at each resolution, fine to coarse.
-    sa_indices / sa_rel / sa_scale: per encoder layer, the flattened neighbor
-    indices, relative neighbor coordinates, and optional density scales.
+    sa_indices / sa_rel / sa_scale: per encoder level, the (m, nsample)
+    neighbor indices, and the relative neighbor coordinates and optional
+    density scales with one row per neighbor.
     fp_mats: interpolation matrices for the three decoder upsampling steps,
     coarse to full.
     fusion_coarse: the interpolation matrix from the coarse decoder level to
@@ -219,63 +221,16 @@ class BlockGeometry:
 # ---------------------------------------------------------------------------
 # layers
 
-class SetAbstraction:
-    """One downsample-group-summarize layer."""
-
-    def __init__(self, name: str, cin: int, width: int, npoint: int, radius: float,
-                 nsample: int, density_reweight: bool, rng, dtype):
-        self.npoint = npoint
-        self.radius = radius
-        self.nsample = nsample
-        self.density_reweight = density_reweight
-        self.dtype = dtype
-        self.conv1 = Conv1x1(f"{name}.conv1", cin + 3, width, rng, dtype)
-        self.conv2 = Conv1x1(f"{name}.conv2", width, width, rng, dtype)
-
-    def compute_geometry(self, coords: np.ndarray):
-        """Centers, neighbor indices, relative coordinates, density scales."""
-        centers = farthest_point_sampling(coords, self.npoint)
-        idx = ball_group(coords, coords[centers], self.radius, self.nsample)  # (m, ns)
-        rel = coords[idx] - coords[centers][:, None, :]
-        rel_t = ad.Tensor(rel.reshape(-1, 3).astype(self.dtype))
-        scale = None
-        if self.density_reweight:
-            s = _inverse_density_scale(coords, idx, self.radius / 2)
-            scale = ad.Tensor(s.reshape(-1, 1).astype(self.dtype))
-        return coords[centers], idx, rel_t, scale
-
-    def apply(self, feats: ad.Tensor, idx: np.ndarray, rel: ad.Tensor,
-              scale: ad.Tensor | None) -> ad.Tensor:
-        grouped = ad.gather_rows(feats, idx.ravel())  # (m*ns, C)
-        parts = (rel, grouped) if scale is None else (ad.mul(rel, scale), ad.mul(grouped, scale))
-        h = self.conv2(self.conv1(parts))
-        return ad.rowmax_pool(h, self.nsample)
-
-    def parameters(self):
-        return self.conv1.parameters() + self.conv2.parameters()
-
-
-class FeaturePropagation:
-    """Concat skip features with coarse features already interpolated up to
-    the skip level, and map."""
-
-    def __init__(self, name: str, cin: int, width: int, rng, dtype):
-        self.conv = Conv1x1(f"{name}.conv", cin, width, rng, dtype)
-
-    def apply(self, up: ad.Tensor, skip: ad.Tensor) -> ad.Tensor:
-        return self.conv((skip, up))
-
-    def parameters(self):
-        return self.conv.parameters()
-
-
 class Encoder:
+    """Three downsample-group-summarize levels, each a pair of shared
+    convolutions, and a head to 512 channels."""
+
     def __init__(self, spec: LayerSpec, rng, dtype):
         cins = (IN_CHANNELS,) + spec.widths[:2]
-        self.layers = [
-            SetAbstraction(f"encoder.sa{i+1}", cins[i], spec.widths[i], spec.npoints[i],
-                           spec.radii[i], spec.nsamples[i], spec.density_reweight, rng, dtype)
-            for i in range(3)
+        self.levels = [
+            (Conv1x1(f"encoder.sa{i+1}.conv1", cin + 3, width, rng, dtype),
+             Conv1x1(f"encoder.sa{i+1}.conv2", width, width, rng, dtype))
+            for i, (cin, width) in enumerate(zip(cins, spec.widths))
         ]
         self.head = Conv1x1("encoder.head", spec.widths[2], ENCODER_WIDTH, rng, dtype)
 
@@ -283,31 +238,35 @@ class Encoder:
         """Returns the coarse (N_e, 512) features plus per-level skip features."""
         skips = [feats]
         h = feats
-        for layer, idx, rel, scale in zip(self.layers, geo.sa_indices, geo.sa_rel, geo.sa_scale):
-            h = layer.apply(h, idx, rel, scale)
+        for (conv1, conv2), idx, rel, scale in zip(self.levels, geo.sa_indices, geo.sa_rel,
+                                                   geo.sa_scale):
+            grouped = ad.gather_rows(h, idx.ravel())  # (m*ns, C)
+            parts = (rel, grouped) if scale is None else (ad.mul(rel, scale), ad.mul(grouped, scale))
+            h = ad.rowmax_pool(conv2(conv1(parts)), idx.shape[1])
             skips.append(h)
         return self.head(h), skips
 
     def parameters(self):
-        return collect_parameters(self.layers) + self.head.parameters()
+        return collect_parameters([conv for pair in self.levels for conv in pair] + [self.head])
 
 
 class Decoder:
-    """Three upsampling layers from the coarse level back to full resolution."""
+    """Three upsampling layers from the coarse level back to full resolution,
+    each a convolution over skip features beside the interpolated level."""
 
     def __init__(self, name: str, spec: LayerSpec, rng, dtype):
         w_c, w_b, w_a = DECODER_WIDTHS
-        self.fp_coarse = FeaturePropagation(f"{name}.fp_coarse",
-                                            ENCODER_WIDTH + spec.widths[1], w_c, rng, dtype)
-        self.fp_mid = FeaturePropagation(f"{name}.fp_mid", w_c + spec.widths[0], w_b, rng, dtype)
-        self.fp_full = FeaturePropagation(f"{name}.fp_full", w_b + IN_CHANNELS, w_a, rng, dtype)
+        self.fp_coarse = Conv1x1(f"{name}.fp_coarse.conv", ENCODER_WIDTH + spec.widths[1], w_c,
+                                 rng, dtype)
+        self.fp_mid = Conv1x1(f"{name}.fp_mid.conv", w_c + spec.widths[0], w_b, rng, dtype)
+        self.fp_full = Conv1x1(f"{name}.fp_full.conv", w_b + IN_CHANNELS, w_a, rng, dtype)
 
     def apply(self, encoded: ad.Tensor, skips, geo: BlockGeometry) -> DecoderFeatures:
         # skips: [input, sa1, sa2, sa3]; geo.levels: [a, b, c, e]
-        f_c = self.fp_coarse.apply(ad.matmul(geo.fp_mats[0], encoded), skips[2])
-        f_b = self.fp_mid.apply(ad.matmul(geo.fp_mats[1], f_c), skips[1])
+        f_c = self.fp_coarse((skips[2], ad.matmul(geo.fp_mats[0], encoded)))
+        f_b = self.fp_mid((skips[1], ad.matmul(geo.fp_mats[1], f_c)))
         mid_up = ad.matmul(geo.fp_mats[2], f_b)
-        f_a = self.fp_full.apply(mid_up, skips[0])
+        f_a = self.fp_full((skips[0], mid_up))
         return DecoderFeatures(full=f_a, mid_up=mid_up, coarse=f_c)
 
     def parameters(self):
@@ -319,23 +278,30 @@ class Backbone:
     instance decoders."""
 
     def __init__(self, spec: LayerSpec, rng, dtype=np.float32):
+        self.spec = spec
         self.dtype = dtype
         self.encoder = Encoder(spec, rng, dtype)
         self.semantic_decoder = Decoder("semantic_decoder", spec, rng, dtype)
         self.instance_decoder = Decoder("instance_decoder", spec, rng, dtype)
 
     def compute_geometry(self, coords: np.ndarray) -> BlockGeometry:
-        coords = np.asarray(coords, dtype=np.float64)
-        levels = [coords]
+        """Per encoder level: farthest-point centers, their ball neighborhoods,
+        relative neighbor coordinates and, with ``density_reweight``, inverse
+        density scales; then the decoder's interpolation matrices."""
+        levels = [np.asarray(coords, dtype=np.float64)]
         sa_indices, sa_rel, sa_scale = [], [], []
-        cur = coords
-        for layer in self.encoder.layers:
-            centers, idx, rel, scale = layer.compute_geometry(cur)
+        spec = self.spec
+        for npoint, radius, nsample in zip(spec.npoints, spec.radii, spec.nsamples):
+            cur = levels[-1]
+            centers = cur[farthest_point_sampling(cur, npoint)]
+            idx = ball_group(cur, centers, radius, nsample)  # (m, ns)
+            rel = cur[idx] - centers[:, None, :]
             sa_indices.append(idx)
-            sa_rel.append(rel)
-            sa_scale.append(scale)
+            sa_rel.append(ad.Tensor(rel.reshape(-1, 3).astype(self.dtype)))
+            sa_scale.append(ad.Tensor(_inverse_density_scale(cur, idx, radius / 2)
+                                      .reshape(-1, 1).astype(self.dtype))
+                            if spec.density_reweight else None)
             levels.append(centers)
-            cur = centers
 
         def mat(fine, coarse):
             return ad.Tensor(interpolation_matrix(levels[fine], levels[coarse]).astype(self.dtype))

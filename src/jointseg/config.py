@@ -230,6 +230,6 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as f:
             text = f.read()
-    except UnicodeDecodeError as e:
+    except (OSError, UnicodeDecodeError) as e:  # missing, a directory, unreadable, not text
         raise ConfigError(f"{path}: {e}") from e
     return parse_config_text(text)

@@ -1,11 +1,12 @@
 """Multi-layer decoder feature fusion.
 
 Fuses the last three decoder outputs into one refined full-resolution feature
-matrix: the full features are concatenated with the mid level, which the
-decoder has already upsampled to full resolution for its last layer; the
-coarse level is upsampled here with the same 3-nearest-neighbor
-inverse-square-distance interpolation and added element-wise; and a single
-ReLU convolution maps the 256-wide result down to 128.
+matrix. The full features and the mid level, which the decoder has already
+upsampled to full resolution for its last layer, are taken side by side as
+256 columns; the coarse level is upsampled here with the same
+3-nearest-neighbor inverse-square-distance interpolation and added to them
+in one ``ad.add`` node; a single ReLU convolution maps the 256-wide sum
+down to 128.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ class FeatureFusion:
         self.conv = Conv1x1(f"{name}.conv", IN_WIDTH, OUT_WIDTH, rng, dtype, activation="relu")
 
     def apply(self, df: DecoderFeatures, coarse_mat: ad.Tensor) -> ad.Tensor:
-        coarse_up = ad.matmul(coarse_mat, df.coarse)  # (N_a, 256)
-        stacked = ad.concat(df.full, df.mid_up)       # (N_a, 256)
-        return self.conv(ad.add(stacked, coarse_up))  # (N_a, 128)
+        coarse_up = ad.matmul(coarse_mat, df.coarse)                # (N_a, 256)
+        return self.conv(ad.add((df.full, df.mid_up), coarse_up))  # (N_a, 128)
 
     def parameters(self):
         return self.conv.parameters()

@@ -416,8 +416,9 @@ def nearest_full_scan(points: np.ndarray, centres: np.ndarray, rows: int = 16,
 # general primitives the package no longer calls
 #
 # The fused nodes (``ad.pointwise_conv``, ``ad.l1_hinge_squared``,
-# ``ad.gate``) replaced these in the package; the references below compose
-# them, and tests use ``reduce_sum`` to reduce outputs to a scalar.
+# ``ad.gate`` and ``ad.add`` of a tuple) replaced these in the package; the
+# references below compose them, and tests use ``reduce_sum`` to reduce
+# outputs to a scalar.
 
 def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     ad._check_broadcast(a.shape, b.shape)
@@ -476,6 +477,20 @@ def absolute(x: ad.Tensor) -> ad.Tensor:
     return ad._make(np.abs(x.values), (x,), backprop)
 
 
+def concat(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Column-wise concatenation of two matrices with equal row counts."""
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise ad.DimensionError(f"concat needs 2-D operands with equal row counts, "
+                                f"got {a.shape} and {b.shape}")
+    k = a.shape[1]
+
+    def backprop(g, accum):
+        accum(a, g[:, :k])
+        accum(b, g[:, k:])
+
+    return ad._make(np.concatenate([a.values, b.values], axis=1), (a, b), backprop)
+
+
 def reduce_sum(x: ad.Tensor, axis: int | None = None) -> ad.Tensor:
     shape = x.shape
     if axis is None:
@@ -511,7 +526,7 @@ def gate_unfused(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     """[a, b] · sigmoid(row mean of [a, b]) as four graph nodes (concat,
     reduce_mean, sigmoid, mul); ``ad.gate`` must equal it bit for bit in
     values and gradients."""
-    cat = ad.concat(a, b)
+    cat = concat(a, b)
     return ad.mul(cat, sigmoid(ad.reduce_mean(cat, axis=1)))
 
 

@@ -6,8 +6,9 @@ import pytest
 
 from jointseg import autodiff as ad
 from jointseg.layers import Conv1x1
-from oracles import (absolute, add_scalar, fd_grad, gate_unfused, l1_hinge_squared_unfused,
-                     max_rel_err, neg, pointwise_conv_unfused, reduce_sum, relu, sigmoid, sub)
+from oracles import (absolute, add_scalar, concat, fd_grad, gate_unfused,
+                     l1_hinge_squared_unfused, max_rel_err, neg, pointwise_conv_unfused,
+                     reduce_sum, relu, sigmoid, sub)
 
 
 def scalar_loss(out: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
@@ -177,7 +178,7 @@ def test_tuple_pointwise_conv_equals_concat_then_conv(activation, dtype):
     for fused in (True, False):
         xs = [ad.Tensor(x0[:, i:j], requires_grad=k > 0) for k, (i, j) in enumerate(cols)]
         w, b = ad.Tensor(w0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
-        x = tuple(xs) if fused else ad.concat(ad.concat(xs[0], xs[1]), xs[2])
+        x = tuple(xs) if fused else concat(concat(xs[0], xs[1]), xs[2])
         out = ad.pointwise_conv(x, w, b, activation)
         assert (out._parents == (*xs, w, b)) == fused
         ad.backward(scalar_loss(out, probe))
@@ -325,6 +326,39 @@ def test_mul_row_broadcast_matches_loop():
     assert np.allclose(out, expected)
 
 
+@pytest.mark.parametrize("c_rows", [40, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tuple_add_equals_concat_then_add(dtype, c_rows):
+    # the fusion heads add the upsampled coarse level to [full, mid_up]
+    rng = np.random.default_rng(7)
+    a0, b0 = rng.standard_normal((40, 3)).astype(dtype), rng.standard_normal((40, 5)).astype(dtype)
+    c0 = rng.standard_normal((c_rows, 8)).astype(dtype)
+    probe = rng.standard_normal((40, 8)).astype(dtype)
+    results = []
+    for fused in (True, False):
+        a, b, c = (ad.Tensor(v, requires_grad=True) for v in (a0, b0, c0))
+        out = ad.add((a, b), c) if fused else ad.add(concat(a, b), c)
+        assert (out._parents == (a, b, c)) == fused
+        ad.backward(scalar_loss(out, probe))
+        results.append((out.values, a.grad, b.grad, c.grad))
+    fused, unfused = results
+    assert fused[0].dtype == unfused[0].dtype == dtype
+    assert [g.shape for g in fused[1:]] == [(40, 3), (40, 5), (c_rows, 8)]
+    for got, want in zip(fused, unfused):
+        assert np.array_equal(bits(got), bits(want))
+
+
+def test_tuple_add_checks_row_counts_and_broadcast():
+    a, b = ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((4, 2)))
+    with pytest.raises(ad.DimensionError, match="equal row counts"):
+        ad.add((a, ad.Tensor(np.zeros((3, 2)))), ad.Tensor(np.zeros((4, 5))))
+    for c in (np.zeros((4, 4)), np.zeros((2, 5)), np.zeros((1, 1)), np.zeros(5)):
+        with pytest.raises(ad.DimensionError, match="broadcastable"):
+            ad.add((a, b), ad.Tensor(c))
+    out = ad.add((a, b), ad.Tensor(np.arange(5.0)[None]))
+    assert np.array_equal(out.values, np.tile(np.arange(5.0), (4, 1)))
+
+
 def test_broadcast_rejects_two_axis_mismatch():
     with pytest.raises(ad.DimensionError):
         ad.add(ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros((1, 1))))
@@ -353,15 +387,15 @@ def test_reduce_mean_axis_out_of_range():
 
 def test_concat_with_empty_columns():
     x = np.random.default_rng(5).standard_normal((4, 3))
-    out = ad.concat(ad.Tensor(x), ad.Tensor(np.zeros((4, 0))))
+    out = concat(ad.Tensor(x), ad.Tensor(np.zeros((4, 0))))
     assert np.array_equal(out.values, x)
 
 
 def test_concat_shape_contract():
-    out = ad.concat(ad.Tensor(np.zeros((7, 128))), ad.Tensor(np.zeros((7, 128))))
+    out = concat(ad.Tensor(np.zeros((7, 128))), ad.Tensor(np.zeros((7, 128))))
     assert out.shape == (7, 256)
     with pytest.raises(ad.DimensionError):
-        ad.concat(ad.Tensor(np.zeros((7, 2))), ad.Tensor(np.zeros((6, 2))))
+        concat(ad.Tensor(np.zeros((7, 2))), ad.Tensor(np.zeros((6, 2))))
 
 
 def test_concat_gradient_splits_to_inputs():
@@ -371,10 +405,10 @@ def test_concat_gradient_splits_to_inputs():
 
     a = ad.Tensor(a0, requires_grad=True)
     b = ad.Tensor(b0, requires_grad=True)
-    ad.backward(scalar_loss(ad.concat(a, b), probe))
+    ad.backward(scalar_loss(concat(a, b), probe))
 
-    fa = fd_grad(lambda v: scalar_loss(ad.concat(ad.Tensor(v), ad.Tensor(b0)), probe).item(), a0)
-    fb = fd_grad(lambda v: scalar_loss(ad.concat(ad.Tensor(a0), ad.Tensor(v)), probe).item(), b0)
+    fa = fd_grad(lambda v: scalar_loss(concat(ad.Tensor(v), ad.Tensor(b0)), probe).item(), a0)
+    fb = fd_grad(lambda v: scalar_loss(concat(ad.Tensor(a0), ad.Tensor(v)), probe).item(), b0)
     assert max_rel_err(a.grad, fa) < 1e-5
     assert max_rel_err(b.grad, fb) < 1e-5
 
@@ -497,7 +531,12 @@ PRIMITIVES = {
     "reduce_mean1": lambda x: ad.reduce_mean(x, axis=1),
     "reduce_sum_all": reduce_sum,
     "reduce_sum1": lambda x: reduce_sum(x, axis=1),
-    "concat_left": lambda x: ad.concat(x, ad.Tensor(_const((4, 2), 17))),
+    "concat_left": lambda x: concat(x, ad.Tensor(_const((4, 2), 17))),
+    "add_tuple_left": lambda x: ad.add((x, ad.Tensor(_const((4, 2), 33))),
+                                       ad.Tensor(_const((4, 5), 34))),
+    "add_tuple_right": lambda x: ad.add((ad.Tensor(_const((4, 2), 35)), x),
+                                        ad.Tensor(_const((1, 5), 36))),
+    "add_tuple_both": lambda x: ad.add((x, x), ad.Tensor(_const((4, 6), 37))),
     "gather": lambda x: ad.gather_rows(x, np.array([2, 0, 0, 3, 1])),
     "rowmax": lambda x: ad.rowmax_pool(x, 2),
     "conv_relu": lambda x: ad.pointwise_conv(

@@ -5,9 +5,9 @@ import pytest
 
 from jointseg import autodiff as ad
 from jointseg import backbone
-from jointseg.backbone import (Backbone, FeaturePropagation, LayerSpec, SetAbstraction,
-                               _distances, ball_group, farthest_point_sampling,
-                               interpolation_matrix, nearest_neighbor_interpolation)
+from jointseg.backbone import (Backbone, LayerSpec, _distances, ball_group,
+                               farthest_point_sampling, interpolation_matrix,
+                               nearest_neighbor_interpolation)
 from oracles import (ball_group_sorted, farthest_point_sampling_norm, fd_grad, max_rel_err,
                      nearest_neighbor_interpolation_sorted, reduce_sum)
 
@@ -259,90 +259,101 @@ def test_compute_geometry_peak_memory_at_paper_block_size():
 
 
 # ---------------------------------------------------------------------------
-# set abstraction / feature propagation
+# encoder levels / decoder layers
 
-def set_abstraction(sa, feats, coords):
-    """Output features and center coordinates of one layer on raw coordinates."""
-    centers, idx, rel, scale = sa.compute_geometry(coords)
-    return sa.apply(feats, idx, rel, scale), centers
-
-
-def propagate(fp, coarse_feats, coarse_coords, fine_coords, skip_feats):
-    """One layer on raw coordinates, upsampling first as the decoder does."""
-    up = ad.matmul(ad.Tensor(interpolation_matrix(fine_coords, coarse_coords)), coarse_feats)
-    return fp.apply(up, skip_feats)
+def encode(spec, feats, coords, seed=0):
+    """Encoder output, skip features and geometry of a float64 backbone."""
+    bb = Backbone(spec, np.random.default_rng(seed), np.float64)
+    geo = bb.compute_geometry(coords)
+    encoded, skips = bb.encoder.apply(feats, geo)
+    return bb, geo, encoded, skips
 
 
-def test_set_abstraction_constant_inputs_give_constant_outputs():
-    rng = np.random.default_rng(9)
-    sa = SetAbstraction("sa", cin=5, width=7, npoint=4, radius=1.0, nsample=3,
-                        density_reweight=False, rng=rng, dtype=np.float64)
+def test_encoder_constant_inputs_give_constant_outputs():
     coords = np.zeros((12, 3))  # coincident points: no relative-coordinate variation
-    feats = ad.Tensor(np.full((12, 5), 0.7))
-    out, centers = set_abstraction(sa, feats, coords)
-    assert out.shape == (4, 7)
-    assert np.allclose(out.values, out.values[0])
-    assert centers.shape == (4, 3)
+    _, geo, encoded, skips = encode(tiny_spec(), ad.Tensor(np.full((12, 9), 0.7)), coords, seed=9)
+    assert [s.shape for s in skips[1:]] == [(8, 8), (4, 16), (2, 32)]
+    for out in (*skips[1:], encoded):
+        assert np.allclose(out.values, out.values[0])
+    assert [c.shape for c in geo.levels] == [(12, 3), (8, 3), (4, 3), (2, 3)]
 
 
-def test_set_abstraction_output_shape_contract():
+def test_encoder_output_shape_contract_with_density_reweight():
     rng = np.random.default_rng(10)
-    sa = SetAbstraction("sa", cin=9, width=16, npoint=6, radius=0.6, nsample=5,
-                        density_reweight=True, rng=rng, dtype=np.float64)
-    out, centers = set_abstraction(sa, ad.Tensor(rng.standard_normal((20, 9))),
-                                   rng.uniform(0, 1, (20, 3)))
-    assert out.shape == (6, 16) and centers.shape == (6, 3)
+    spec = LayerSpec(npoints=(6, 3, 2), widths=(16, 8, 4), radii=(0.6, 0.8, 1.0),
+                     nsamples=(5, 3, 2), density_reweight=True)
+    _, geo, encoded, skips = encode(spec, ad.Tensor(rng.standard_normal((20, 9))),
+                                    rng.uniform(0, 1, (20, 3)), seed=10)
+    assert [s.shape for s in skips[1:]] == [(6, 16), (3, 8), (2, 4)]
+    assert encoded.shape == (2, 512)
+    assert [c.shape for c in geo.levels[1:]] == [(6, 3), (3, 3), (2, 3)]
+    assert [s.shape for s in geo.sa_scale] == [(30, 1), (9, 1), (4, 1)]
+    for i, (idx, rel, scale) in enumerate(zip(geo.sa_indices, geo.sa_rel, geo.sa_scale)):
+        want = geo.levels[i][idx] - geo.levels[i + 1][:, None, :]  # neighbor minus center
+        assert np.array_equal(rel.values, want.reshape(-1, 3))
+        assert np.allclose(scale.values.reshape(idx.shape).mean(axis=1), 1.0)
 
 
-def test_set_abstraction_gradient_matches_finite_differences():
+def test_encoder_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
-    sa = SetAbstraction("sa", cin=4, width=5, npoint=3, radius=1.0, nsample=4,
-                        density_reweight=False, rng=rng, dtype=np.float64)
     coords = rng.uniform(0, 1, (10, 3))
-    x0 = rng.standard_normal((10, 4))
-    probe = rng.standard_normal((3, 5))
+    x0 = rng.standard_normal((10, 9))
+    bb = Backbone(tiny_spec(), rng, np.float64)
+    geo = bb.compute_geometry(coords)
+    probe = rng.standard_normal((2, 512))
 
-    def f(xv):
-        out, _ = set_abstraction(sa, ad.Tensor(xv), coords)
-        return reduce_sum(ad.mul(out, ad.Tensor(probe))).item()
+    def loss(x):
+        encoded, _ = bb.encoder.apply(x, geo)
+        return reduce_sum(ad.mul(encoded, ad.Tensor(probe)))
 
     x = ad.Tensor(x0, requires_grad=True)
-    out, _ = set_abstraction(sa, x, coords)
-    ad.backward(reduce_sum(ad.mul(out, ad.Tensor(probe))))
-    assert max_rel_err(x.grad, fd_grad(f, x0)) < 1e-5
+    ad.backward(loss(x))
+    assert np.abs(x.grad).max() > 0
+    assert max_rel_err(x.grad, fd_grad(lambda xv: loss(ad.Tensor(xv)).item(), x0)) < 1e-5
 
 
-def test_feature_propagation_coincident_point_takes_coarse_feature():
-    rng = np.random.default_rng(12)
-    fp = FeaturePropagation("fp", cin=4, width=4, rng=rng, dtype=np.float64)
-    fp.conv.weight.assign(np.eye(4))
-    fp.conv.bias.assign(np.zeros((1, 4)))
-    coarse_coords = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
-    coarse = ad.Tensor(np.abs(rng.standard_normal((4, 4))) + 0.1)
-    out = propagate(fp, coarse, coarse_coords, coarse_coords[:2], ad.Tensor(np.zeros((2, 0))))
-    assert np.allclose(out.values, coarse.values[:2], atol=1e-4)
+def test_decoder_coincident_point_takes_coarse_feature():
+    # fp_full set to pass the upsampled mid level through: at a full-level
+    # point that is also a mid-level center, the output is that center's feature
+    feats = block_features(seed=12)
+    bb, geo, encoded, skips = encode(tiny_spec(), ad.Tensor(feats), feats[:, :3], seed=12)
+    dec = bb.semantic_decoder
+    w = np.zeros(dec.fp_full.weight.shape)
+    w[9:] = np.eye(128)  # rows 0-8 take the skip (input) features
+    dec.fp_full.weight.assign(w)
+    df = dec.apply(encoded, skips, geo)
+    f_b = dec.fp_mid((skips[1], ad.matmul(geo.fp_mats[1], df.coarse)))
+    centers = farthest_point_sampling(feats[:, :3], tiny_spec().npoints[0])
+    assert f_b.values.max() > 0.1
+    assert np.allclose(df.full.values[centers], f_b.values, atol=1e-4)
 
 
-def test_feature_propagation_parameter_gradient():
+def test_decoder_parameter_gradient():
     rng = np.random.default_rng(13)
-    fp = FeaturePropagation("fp", cin=7, width=6, rng=rng, dtype=np.float64)
-    coarse_coords = rng.uniform(0, 1, (5, 3))
-    fine_coords = rng.uniform(0, 1, (9, 3))
-    coarse0 = rng.standard_normal((5, 4))
-    skip = ad.Tensor(rng.standard_normal((9, 3)))
-    probe = rng.standard_normal((9, 6))
-    w0 = fp.conv.weight.values.copy()
+    feats = block_features(seed=13, n=16)
+    bb, geo, encoded, skips = encode(tiny_spec(), ad.Tensor(feats), feats[:, :3], seed=13)
+    encoded = ad.Tensor(encoded.values)
+    skips = [ad.Tensor(s.values) for s in skips]
+    dec = bb.instance_decoder
+    probe = rng.standard_normal((16, 128))
 
-    def f(wv):
-        fp.conv.weight.assign(wv)
-        out = propagate(fp, ad.Tensor(coarse0), coarse_coords, fine_coords, skip)
-        return reduce_sum(ad.mul(out, ad.Tensor(probe))).item()
+    def loss():
+        return reduce_sum(ad.mul(dec.apply(encoded, skips, geo).full, ad.Tensor(probe)))
 
-    fp.conv.weight.assign(w0)
-    out = propagate(fp, ad.Tensor(coarse0), coarse_coords, fine_coords, skip)
-    ad.backward(reduce_sum(ad.mul(out, ad.Tensor(probe))))
-    grad = fp.conv.weight.grad.copy()
-    assert max_rel_err(grad, fd_grad(f, w0)) < 1e-5
+    ad.backward(loss())
+    for conv in (dec.fp_coarse, dec.fp_mid, dec.fp_full):
+        w0 = conv.weight.values.copy()
+        picks = rng.choice(w0.size, size=12, replace=False)
+
+        def f(vals):
+            w = w0.copy()
+            w.flat[picks] = vals
+            conv.weight.assign(w)
+            return loss().item()
+
+        fd = fd_grad(f, w0.flat[picks])
+        conv.weight.assign(w0)
+        assert max_rel_err(conv.weight.grad.flat[picks], fd) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +393,7 @@ def test_mid_up_is_the_mid_level_times_its_interpolation_matrix(dtype):
     encoded, skips = bb.encoder.apply(x, geo)
     for dec in (bb.semantic_decoder, bb.instance_decoder):
         df = dec.apply(encoded, skips, geo)
-        f_b = dec.fp_mid.apply(ad.matmul(geo.fp_mats[1], df.coarse), skips[1])
+        f_b = dec.fp_mid((skips[1], ad.matmul(geo.fp_mats[1], df.coarse)))
         assert df.mid_up.dtype == dtype
         assert np.array_equal(df.mid_up.values, geo.fp_mats[2].values @ f_b.values)
 
@@ -400,14 +411,14 @@ def test_decoders_are_independent_and_encoder_is_shared():
     sem0, ins0 = forward_features(bb, feats)
 
     # perturbing a semantic-decoder parameter must not change instance features
-    p = bb.semantic_decoder.fp_full.conv.weight
+    p = bb.semantic_decoder.fp_full.weight
     p.assign(p.values + 0.25)
     sem1, ins1 = forward_features(bb, feats)
     assert np.array_equal(ins0.full.values, ins1.full.values)
     assert not np.array_equal(sem0.full.values, sem1.full.values)
 
     # and vice versa
-    q = bb.instance_decoder.fp_full.conv.weight
+    q = bb.instance_decoder.fp_full.weight
     q.assign(q.values + 0.25)
     sem2, ins2 = forward_features(bb, feats)
     assert np.array_equal(sem1.full.values, sem2.full.values)
@@ -417,7 +428,7 @@ def test_decoders_are_independent_and_encoder_is_shared():
 def test_encoder_gradients_accumulate_from_both_branches():
     bb = make_backbone(seed=7)
     feats = block_features(seed=2)
-    enc_param = bb.encoder.layers[0].conv1.weight
+    enc_param = bb.encoder.levels[0][0].weight
 
     def run(branch):
         for p in bb.parameters():
@@ -458,7 +469,7 @@ def test_backbone_parameter_gradient_finite_differences():
 
     rng = np.random.default_rng(100)
     h = 1e-5
-    for param in [bb.encoder.layers[1].conv2.weight, bb.semantic_decoder.fp_mid.conv.weight,
+    for param in [bb.encoder.levels[1][1].weight, bb.semantic_decoder.fp_mid.weight,
                   bb.encoder.head.bias]:
         flat = param.values.reshape(-1)
         for i in rng.choice(flat.size, size=3, replace=False):

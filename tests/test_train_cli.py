@@ -741,8 +741,25 @@ def test_cli_failed_command_removes_the_out_directories_it_made(tmp_path, capsys
     (tmp_path / "a").mkdir()
     (tmp_path / "a" / "keep").write_text("")
     assert cli.main(["grad-check", "--config", str(tmp_path / "missing.cfg"),
-                     "--out", str(out)]) == cli.EXIT_DATA
+                     "--out", str(out)]) == cli.EXIT_CONFIG
     assert not out.exists() and (tmp_path / "a" / "keep").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "infer", "grad-check"])
+def test_cli_config_that_cannot_be_read_is_a_config_error(tmp_path, capsys, command, kind):
+    cfg_path = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg_path.mkdir()
+    extra = {"infer": ["--checkpoint", str(tmp_path / "m.ckpt"),
+                       "--scene", str(tmp_path / "s.scene")]}.get(command, [])
+    out = tmp_path / "out" / "run"
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(cfg_path), *extra, "--out", str(out)]) \
+        == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err and str(cfg_path) in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_trains_on_scenes_without_annotated_instances(tmp_path, capsys):
