@@ -1,15 +1,20 @@
 """Deterministic binary checkpoints.
 
 A plain struct-packed container (no archive metadata), so two runs that
-compute identical parameters write byte-identical files.
+compute identical parameters write byte-identical files. Loading goes through
+``data.ByteReader``: any malformed, truncated, oversized or trailing content,
+and an array name given twice, raise ``CheckpointError``.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+from .data import ByteReader
 
 
 class CheckpointError(ValueError):
@@ -61,64 +66,33 @@ def save_checkpoint(path, parameters: dict[str, np.ndarray], optimizer_state: di
         _write_array_map(f, optimizer_state)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def take(self, count: int, why: str) -> bytes:
-        if self.off + count > len(self.data):
-            raise CheckpointError(
-                f"truncated checkpoint: needed {count} bytes for {why} at byte {self.off}")
-        raw = self.data[self.off: self.off + count]
-        self.off += count
-        return raw
-
-    def text(self, count: int, why: str) -> str:
-        at = self.off
-        try:
-            return self.take(count, why).decode()
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"{why} at byte {at} is not UTF-8: {e}") from e
-
-    def unpack(self, fmt: str, why: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), why))
-
-
-def _read_array_map(r: _Reader) -> dict[str, np.ndarray]:
+def _read_array_map(r: ByteReader) -> dict[str, np.ndarray]:
     (count,) = r.unpack("<I", "array count")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
+        at = r.off
         (name_len,) = r.unpack("<I", "name length")
         name = r.text(name_len, "name")
+        if name in out:
+            raise CheckpointError(f"array {name!r} at byte {at} repeats an earlier entry")
         code, ndim = r.unpack("<BB", "dtype/ndim")
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"array {name!r}: unknown dtype code {code}")
         shape = r.unpack(f"<{ndim}Q", "shape")
-        dtype = _CODE_DTYPES[code]
-        n = int(np.prod(shape)) if shape else 1
-        raw = r.take(n * dtype.itemsize, f"data of {name!r}")
-        out[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        out[name] = r.array(_CODE_DTYPES[code], shape, f"data of {name!r}")
     return out
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        data = f.read()
-    r = _Reader(data)
-    if r.take(8, "magic") != _MAGIC:
+    r = ByteReader(Path(path).read_bytes(), CheckpointError)
+    if r.unpack("8s", "magic")[0] != _MAGIC:
         raise CheckpointError("bad checkpoint magic at byte 0")
     version, iteration, opt_step = r.unpack("<IQQ", "header")
     if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    digests = []
-    for _ in range(2):
-        (dlen,) = r.unpack("<I", "digest length")
-        digests.append(r.text(dlen, "digest"))
-    params = _read_array_map(r)
-    state = _read_array_map(r)
-    if r.off != len(data):
-        raise CheckpointError(f"{len(data) - r.off} unexpected trailing bytes at byte {r.off}")
+        raise CheckpointError(f"unsupported checkpoint version {version} at byte 8")
+    digests = [r.text(r.unpack("<I", "digest length")[0], "digest") for _ in range(2)]
+    params, state = _read_array_map(r), _read_array_map(r)
+    r.end()
     return Checkpoint(version=version, iteration=iteration, optimizer_step=opt_step,
                       config_digest=digests[0], model_digest=digests[1],
                       parameters=params, optimizer_state=state)

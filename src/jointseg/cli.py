@@ -2,7 +2,9 @@
 
 Subcommands: gen-data, train, infer, eval, grad-check. Exit codes are
 category-coded: 0 success, 2 configuration, 3 data files/generation,
-4 checkpoints, 5 internal shape/graph contracts, 1 anything else.
+4 checkpoints, 5 internal shape/graph contracts, 1 a failed grad-check or
+anything else. File formats live in ``data`` and ``checkpoint``; this module
+only maps their errors to exit codes.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import autodiff as ad
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, load_config
-from .data import (SceneFormatError, SceneGenerationError, generate_scene, load_scene,
-                   read_lines, save_scene)
+from .data import (SceneFormatError, SceneGenerationError, generate_scene, load_result,
+                   load_scene, save_result, save_scene)
 from .inference import NonFiniteOutputError, segment_scene
 from .metrics import evaluate
 from .train import grad_check, load_network, train
@@ -82,42 +82,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _save_result(path, seg) -> None:
-    with open(path, "w") as f:
-        f.write(f"result v1 points={len(seg.semantic)}\n")
-        for c, i in zip(seg.semantic, seg.instance):
-            f.write(f"{c} {i}\n")
-
-
-def load_result(path) -> tuple[np.ndarray, np.ndarray]:
-    lines = read_lines(path)
-    if not lines or not lines[0].startswith("result v1"):
-        raise SceneFormatError(f"{path}: missing result header")
-    try:
-        n = int(lines[0].split("points=", 1)[1])
-    except (IndexError, ValueError):
-        n = -1
-    if n < 0:
-        raise SceneFormatError(f"{path}: header needs points=<count >= 0>, got {lines[0]!r}")
-    if len(lines) < 1 + n:
-        raise SceneFormatError(f"{path}: truncated result file")
-    rows = np.empty((n, 2), dtype=np.int64)
-    for i, line in enumerate(lines[1: 1 + n]):
-        fields = line.split()
-        if len(fields) != 2:
-            raise SceneFormatError(f"{path} line {i + 2}: expected 'class instance', got {line!r}")
-        try:
-            rows[i] = [int(v) for v in fields]
-        except (ValueError, OverflowError) as e:
-            raise SceneFormatError(f"{path} line {i + 2}: {e}") from e
-        if rows[i, 0] < 0:
-            raise SceneFormatError(f"{path} line {i + 2}: class id must be >= 0, got {rows[i, 0]}")
-    for i, line in enumerate(lines[1 + n:], start=2 + n):
-        if line.strip():
-            raise SceneFormatError(f"{path} line {i}: unexpected line after the {n} declared rows")
-    return rows[:, 0], rows[:, 1]
-
-
 def cmd_infer(args) -> int:
     cfg = _resolve_config(args)
     network = load_network(cfg, args.checkpoint)
@@ -132,7 +96,7 @@ def cmd_infer(args) -> int:
     except NonFiniteOutputError as e:  # load_scene checked the scene, so the model is at fault
         raise CheckpointError(f"{args.checkpoint}: {e}") from e
     path = Path(args.out) / (Path(args.scene).stem + ".result")
-    _save_result(path, seg)
+    save_result(path, seg.semantic, seg.instance)
     print(f"segmented {len(seg.semantic)} points into {seg.num_instances} instances "
           f"({seg.uncovered_points} resolved via nearest voxel)")
     print(f"result: {path}")

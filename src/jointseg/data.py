@@ -1,17 +1,24 @@
 """Point-cloud data model: labeled scenes, synthetic generation, block
-splitting, and scene file I/O.
+splitting, and file I/O.
 
 A scene is a flat set of points with colors, a semantic class per point, and
 an instance id per point. Scenes are cut into overlapping XY blocks of a fixed
 point count whose 9-dim per-point features (XYZ, RGB, room-normalized XYZ)
 feed the network.
+
+Every scene, result and checkpoint file is read by ``ByteReader`` (binary
+``.scene`` and checkpoints) or ``read_table`` (``.txt`` scenes, ``.result``
+files). Both refuse an inexact header, a size beyond the file, and anything
+after the declared content but blank lines in a text table.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -306,7 +313,86 @@ def split_into_blocks(scene: Scene, block_size: float = 1.0, stride: float = 0.5
 
 
 # ---------------------------------------------------------------------------
-# scene file I/O
+# file framing, shared by every reader
+
+class ByteReader:
+    """A bounds-checked cursor over a binary file; failures raise ``error`` naming the
+    byte. Sizes are Python integers, so no declared shape overflows the bounds check."""
+
+    def __init__(self, data: bytes, error: type[ValueError]):
+        self.data = data
+        self.error = error
+        self.off = 0
+
+    def _skip(self, count: int, why: str) -> int:
+        """Step over the next ``count`` bytes; return the offset they start at."""
+        if self.off + count > len(self.data):
+            raise self.error(f"truncated file: needed {count} bytes for {why} at byte {self.off}")
+        self.off += count
+        return self.off - count
+
+    def text(self, count: int, why: str) -> str:
+        at = self._skip(count, why)
+        try:
+            return self.data[at: self.off].decode()
+        except UnicodeDecodeError as e:
+            raise self.error(f"{why} at byte {at} is not UTF-8: {e}") from e
+
+    def unpack(self, fmt: str, why: str):
+        return struct.unpack_from(fmt, self.data, self._skip(struct.calcsize(fmt), why))
+
+    def array(self, dtype, shape, why: str) -> np.ndarray:
+        """An owned copy of the next ``shape`` array of ``dtype``."""
+        dtype, count = np.dtype(dtype), math.prod(shape)
+        at = self._skip(count * dtype.itemsize, why)
+        try:
+            return np.frombuffer(self.data, dtype, count, at).reshape(shape).copy()
+        except ValueError as e:  # an empty array whose other dimensions numpy cannot hold
+            raise self.error(f"{why} at byte {at}: bad shape {tuple(shape)}: {e}") from e
+
+    def end(self) -> None:
+        if self.off != len(self.data):
+            raise self.error(f"{len(self.data) - self.off} unexpected trailing bytes at byte {self.off}")
+
+
+def read_table(path, kind: str, preamble: int, floats: int, ints: int,
+               rows: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Read the exact header ``<kind> v1 points=<n>``, ``preamble`` lines returned as
+    they are, ``n`` rows of ``floats`` numbers then ``ints`` integers, and only blank
+    lines after them. Returns the preamble, the (n, floats) and the (n, ints) arrays;
+    each failure raises ``SceneFormatError`` naming the line and, as ``rows``, the rows."""
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise SceneFormatError(f"{path}: {e}") from e
+    head = lines[0] if lines else ""
+    match = re.fullmatch(rf"{kind} v1 points=(\d{{1,18}})", head)  # int() raises past 4,300 digits
+    if match is None:
+        raise SceneFormatError(f"{path} line 1: expected header '{kind} v1 points=<count >= 0>', "
+                               f"got {head!r}")
+    n, start = int(match[1]), 1 + preamble
+    if len(lines) < start + n:
+        raise SceneFormatError(f"{path}: truncated {kind} file: {len(lines)} of {start + n} lines")
+    values = np.empty((n, floats))
+    labels = np.empty((n, ints), dtype=np.int64)
+    for k, line in enumerate(lines[start: start + n]):
+        fields = line.split()
+        try:
+            if len(fields) != floats + ints:
+                raise ValueError(f"expected {floats + ints} fields, got {len(fields)}")
+            values[k] = [float(v) for v in fields[:floats]]
+            labels[k] = [int(v) for v in fields[floats:]]  # int() refuses a fractional label
+        except (ValueError, OverflowError) as e:
+            raise SceneFormatError(f"{path} line {start + k + 1}: {e}") from e
+    for i, line in enumerate(lines[start + n:], start=start + n + 1):
+        if line.strip():
+            raise SceneFormatError(f"{path} line {i}: unexpected line after the {n} declared {rows}")
+    return lines[1:start], values, labels
+
+
+# ---------------------------------------------------------------------------
+# scene and result files
 
 _MAGIC = b"PTSCENE1"
 _VERSION = 1
@@ -345,37 +431,22 @@ def load_scene(path) -> Scene:
     path = str(path)
     if path.endswith(".txt"):
         return _load_scene_text(path)
-    with open(path, "rb") as f:
-        data = f.read()
-
-    def take(offset, count, why):
-        if offset + count > len(data):
-            raise SceneFormatError(f"truncated scene file: needed {count} bytes for {why} at byte {offset}")
-        return data[offset: offset + count], offset + count
-
-    raw, off = take(0, 8, "magic")
-    if raw != _MAGIC:
+    r = ByteReader(Path(path).read_bytes(), SceneFormatError)
+    if (raw := r.unpack("8s", "magic")[0]) != _MAGIC:
         raise SceneFormatError(f"bad magic {raw!r} at byte 0")
-    raw, off = take(off, 12, "header")
-    version, n = struct.unpack("<IQ", raw)
+    version, n = r.unpack("<IQ", "header")
     if version != _VERSION:
         raise SceneFormatError(f"unsupported scene version {version} at byte 8")
     if n == 0:
         raise SceneFormatError("scene file declares zero points at byte 12")
-    raw, off = take(off, 24, "room extent")
-    extent = np.frombuffer(raw, dtype="<f8")
-    raw, off = take(off, n * 24, "points")
-    points = np.frombuffer(raw, dtype="<f8").reshape(n, 3)
-    raw, off = take(off, n * 24, "colors")
-    colors = np.frombuffer(raw, dtype="<f8").reshape(n, 3)
-    raw, off = take(off, n * 8, "semantic labels")
-    sem = np.frombuffer(raw, dtype="<i8")
-    raw, off = take(off, n * 8, "instance ids")
-    inst = np.frombuffer(raw, dtype="<i8")
-    if off != len(data):
-        raise SceneFormatError(f"{len(data) - off} unexpected trailing bytes at byte {off}")
+    extent = r.array("<f8", (3,), "room extent")
+    points = r.array("<f8", (n, 3), "points")
+    colors = r.array("<f8", (n, 3), "colors")
+    sem = r.array("<i8", (n,), "semantic labels")
+    inst = r.array("<i8", (n,), "instance ids")
+    r.end()
     _check_values(extent, points, colors, sem)
-    return Scene(points.copy(), colors.copy(), sem.copy(), inst.copy(), extent.copy())
+    return Scene(points, colors, sem, inst, extent)
 
 
 def _save_scene_text(path: str, scene: Scene) -> None:
@@ -387,44 +458,34 @@ def _save_scene_text(path: str, scene: Scene) -> None:
                 p[0], p[1], p[2], c[0], c[1], c[2], s, i))
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a text file; undecodable bytes raise ``SceneFormatError``."""
-    try:
-        with open(path) as f:
-            return f.read().splitlines()
-    except UnicodeDecodeError as e:
-        raise SceneFormatError(f"{path}: {e}") from e
-
-
 def _load_scene_text(path: str) -> Scene:
-    lines = read_lines(path)
-    if not lines or not lines[0].startswith("scene v"):
-        raise SceneFormatError("missing scene header at byte 0")
+    (extent_line,), values, labels = read_table(path, "scene", 1, 6, 2, "points")
+    if len(values) == 0:
+        raise SceneFormatError(f"{path} line 1: scene file declares zero points")
+    fields = extent_line.split()
     try:
-        n = int(lines[0].split("points=")[1])
-    except (IndexError, ValueError) as e:
-        raise SceneFormatError(f"bad header line: {lines[0]!r}") from e
-    if n == 0:
-        raise SceneFormatError("scene file declares zero points")
-    if len(lines) < 2 + n:
-        raise SceneFormatError(f"truncated scene file: {len(lines) - 2} of {n} point lines")
-    try:
-        extent = np.array([float(v) for v in lines[1].split()[1:4]])
+        if len(fields) != 4 or fields[0] != "extent":
+            raise ValueError(f"expected 'extent x y z', got {extent_line!r}")
+        extent = np.array([float(v) for v in fields[1:]])
     except ValueError as e:
-        raise SceneFormatError(f"line 2: {e}") from e
-    values = np.empty((n, 6))
-    labels = np.empty((2, n), dtype=np.int64)
-    for i, line in enumerate(lines[2: 2 + n], start=3):
-        fields = line.split()
-        if len(fields) != 8:
-            raise SceneFormatError(f"line {i}: point lines must have 8 fields, got {len(fields)}")
-        try:
-            values[i - 3] = [float(v) for v in fields[:6]]
-            labels[:, i - 3] = [int(v) for v in fields[6:]]  # int() refuses a fractional label
-        except (ValueError, OverflowError) as e:
-            raise SceneFormatError(f"line {i}: {e}") from e
-    for i, line in enumerate(lines[2 + n:], start=3 + n):
-        if line.strip():
-            raise SceneFormatError(f"line {i}: unexpected line after the {n} declared points")
-    _check_values(extent, values[:, 0:3], values[:, 3:6], labels[0])
-    return Scene(values[:, 0:3], values[:, 3:6], labels[0], labels[1], extent)
+        raise SceneFormatError(f"{path} line 2: {e}") from e
+    _check_values(extent, values[:, 0:3], values[:, 3:6], labels[:, 0])
+    return Scene(values[:, 0:3], values[:, 3:6], labels[:, 0], labels[:, 1], extent)
+
+
+def save_result(path, semantic: np.ndarray, instance: np.ndarray) -> None:
+    """Write a segmentation's per-point class and instance ids as a text table."""
+    with open(path, "w") as f:
+        f.write(f"result v1 points={len(semantic)}\n")
+        for c, i in zip(semantic, instance):
+            f.write(f"{c} {i}\n")
+
+
+def load_result(path) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point class and instance ids of a result file; class ids must be >= 0."""
+    _, _, rows = read_table(path, "result", 0, 0, 2, "rows")
+    bad = rows[:, 0] < 0
+    if bad.any():
+        i = int(bad.argmax())
+        raise SceneFormatError(f"{path} line {i + 2}: class id must be >= 0, got {rows[i, 0]}")
+    return rows[:, 0], rows[:, 1]

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
+from jointseg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from jointseg.data import (Scene, SceneFormatError, SyntheticSceneSpec, generate_scene,
-                           load_scene, save_scene, split_into_blocks)
+                           load_result, load_scene, save_result, save_scene, split_into_blocks)
 
 
 def small_spec(**kw):
@@ -248,3 +251,73 @@ def test_saving_empty_scene_rejected(tmp_path):
                   (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         save_scene(tmp_path / "empty.scene", scene)
+
+
+# ---------------------------------------------------------------------------
+# mutated files: each reader loads a damaged file or refuses it with its own error
+
+def write_small_file(path, suffix):
+    """Write a small valid file of the format ``suffix``; return its loader and error."""
+    rng = np.random.default_rng(0)
+    classes, instances = np.array([0, 1, 1, 2, 2, 3]), np.array([0, 1, 1, 2, 2, -1])
+    if suffix == ".ckpt":
+        save_checkpoint(path, {"a.weight": rng.standard_normal((3, 2)).astype(np.float32),
+                               "b.bias": rng.standard_normal((1, 2))},
+                        {"m/a.weight": np.zeros((3, 2), dtype=np.float32)}, 5, 5, "cfg", "model")
+        return load_checkpoint, CheckpointError
+    if suffix == ".result":
+        save_result(path, classes, instances)
+        return load_result, SceneFormatError
+    save_scene(path, Scene(rng.uniform(0, 1, (6, 3)), rng.uniform(0, 1, (6, 3)), classes,
+                           instances, (1.0, 1.0, 0.8)))
+    return load_scene, SceneFormatError
+
+
+EXTREME_COUNTS = [0, 1, 2 ** 31, 2 ** 32, 2 ** 62, 2 ** 63, 2 ** 64 - 1]
+
+
+def extreme_pieces(binary: bool) -> list[bytes]:
+    """Counts no small file holds: 8 little-endian bytes, or signed digits."""
+    if binary:
+        return [struct.pack("<Q", c) for c in EXTREME_COUNTS]
+    return [f"{sign}{c}".encode() for sign in ("", "-") for c in EXTREME_COUNTS] + [b"9" * 5000]
+
+
+def mutations(raw: bytes, rng, pieces: list[bytes]):
+    """200 random bit flips, truncations, insertions of 1-8 bytes and overwrites
+    with an extreme count; then each extreme count written over, and inserted at,
+    each of the first 96 bytes, where the small files keep their counts and shapes."""
+    for _ in range(200):
+        at, op = int(rng.integers(len(raw))), int(rng.integers(4))
+        if op == 0:
+            out = bytearray(raw)
+            out[at] ^= 1 << int(rng.integers(8))
+            yield bytes(out)
+        elif op == 1:
+            yield raw[:at]
+        elif op == 2:
+            yield raw[:at] + rng.bytes(int(rng.integers(1, 9))) + raw[at:]
+        else:
+            piece = pieces[int(rng.integers(len(pieces)))]
+            yield raw[:at] + piece + raw[at + len(piece):]
+    for at in range(min(len(raw), 96)):
+        for piece in pieces:
+            yield raw[:at] + piece + raw[at + len(piece):]
+            yield raw[:at] + piece + raw[at:]
+
+
+@pytest.mark.parametrize("suffix", [".scene", ".txt", ".result", ".ckpt"])
+def test_mutated_files_load_or_raise_their_format_error(tmp_path, suffix):
+    path = tmp_path / f"small{suffix}"
+    load, error = write_small_file(path, suffix)
+    raw = path.read_bytes()
+    load(path)
+    outcomes = []
+    for bad in mutations(raw, np.random.default_rng(21), extreme_pieces(suffix in (".scene", ".ckpt"))):
+        path.write_bytes(bad)
+        try:
+            load(path)
+            outcomes.append(True)
+        except error:  # any other exception fails the test
+            outcomes.append(False)
+    assert any(outcomes) and not all(outcomes)

@@ -127,6 +127,15 @@ def test_checkpoint_truncation_detected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_trailing_bytes_detected(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"w": np.zeros((2, 2), dtype=np.float32)}, {}, 1, 1, "d", "m")
+    raw = path.read_bytes()
+    path.write_bytes(raw + b"junk")
+    with pytest.raises(CheckpointError, match=f"4 unexpected trailing bytes at byte {len(raw)}"):
+        load_checkpoint(path)
+
+
 def test_load_network_rejects_model_drift(tmp_path):
     cfg = tiny_config(iterations=1)
     result = train(cfg, tmp_path / "run")
@@ -494,21 +503,27 @@ def test_cli_data_error_exit_code(tmp_path):
     assert code == cli.EXIT_DATA
 
 
-@pytest.mark.parametrize("text", [
-    "result v1\n0 0\n",
-    "result v1 points=x\n0 0\n",
-    "result v1 points=-1\n",
-    "result v1 points=2\n0 0\n1\n",
-    "result v1 points=2\n0 0\n1 0.5\n",
-], ids=["no_count", "count_not_a_number", "count_negative", "one_column_row", "non_integer_entry"])
-def test_cli_eval_rejects_malformed_result(tmp_path, capsys, text):
+@pytest.mark.parametrize("text,line", [
+    ("result v1\n0 0\n", 1),
+    ("result v1 points=x\n0 0\n", 1),
+    ("result v1 points=-1\n", 1),
+    ("result v12 points=0\n", 1),
+    ("result v1 points=" + "9" * 5000 + "\n", 1),
+    ("result v1 points=2\n0 0\n1\n", 3),
+    ("result v1 points=2\n0 0\n1 0.5\n", 3),
+], ids=["no_count", "count_not_a_number", "count_negative", "version_12", "count_of_5000_digits",
+        "one_column_row", "non_integer_entry"])
+def test_cli_eval_rejects_malformed_result(tmp_path, capsys, text, line):
     scene_path = tmp_path / "scene.scene"
     save_scene(scene_path, generate_scene(tiny_config().scene_spec(0)))
     result_path = tmp_path / "bad.result"
     result_path.write_text(text)
-    code = cli.main(["eval", "--result", str(result_path), "--scene", str(scene_path)])
+    code = cli.main(["eval", "--result", str(result_path), "--scene", str(scene_path),
+                     "--out", str(tmp_path / "report")])
     assert code == cli.EXIT_DATA
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err and f"line {line}: " in err
+    assert not (tmp_path / "report").exists()
 
 
 def write_result(tmp_path, classes):
@@ -601,6 +616,12 @@ TEXT_FAULTS = {
     "fractional_label": (4, lambda f: f[:6] + ["0.7"] + f[7:]),
     "fractional_instance": (5, lambda f: f[:7] + ["1.5"]),
     "non_numeric_extent": (2, lambda f: f[:2] + ["x"] + f[3:]),
+    "extent_misnamed_with_fourth_number": (2, lambda f: ["foo", "1", "1", "1", "9"]),
+    "extent_with_fourth_number": (2, lambda f: f + ["9"]),
+    "extent_misnamed": (2, lambda f: ["foo"] + f[1:]),
+    "count_negative": (1, lambda f: f[:2] + ["points=-1"]),
+    "version_7": (1, lambda f: [f[0], "v7", f[2]]),
+    "count_of_5000_digits": (1, lambda f: f[:2] + ["points=" + "9" * 5000]),
 }
 
 
@@ -682,6 +703,60 @@ def test_cli_infer_refuses_a_checkpoint_whose_outputs_are_not_finite(tmp_path, c
     assert code == cli.EXIT_CHECKPOINT
     err = capsys.readouterr().err
     assert "checkpoint error" in err and "logits are not finite" in err
+    assert not (tmp_path / "pred").exists()
+
+
+def array_entry(name, shape, data=b""):
+    """The bytes of one float32 entry of a checkpoint's array map."""
+    raw = name.encode()
+    return (struct.pack("<I", len(raw)) + raw + struct.pack("<BB", 0, len(shape))
+            + struct.pack(f"<{len(shape)}Q", *shape) + data)
+
+
+def committed_model_with(entry):
+    """The committed model's checkpoint bytes with ``entry`` appended to its
+    parameter map, and the byte at which the entry starts."""
+    raw = BENCH_MODEL.read_bytes()
+    at = 32  # magic (8 bytes), version and counters (20), the digest's length (4)
+    for _ in range(2):  # past both digests and the array count
+        at += struct.unpack_from("<I", raw, at - 4)[0] + 4
+    (count,) = struct.unpack_from("<I", raw, at - 4)
+    assert raw[-4:] == bytes(4)  # an empty optimizer map closes the file
+    return (raw[:at - 4] + struct.pack("<I", count + 1) + raw[at:-4] + entry + raw[-4:],
+            len(raw) - 4)
+
+
+BIAS = "joint.sem_head2.bias"
+
+# the entry appended to the committed model, made from its BIAS array -> the
+# words that name the fault, given the byte at which the entry starts
+ENTRY_FAULTS = {
+    "repeated_name": (lambda bias: array_entry(BIAS, bias.shape, np.full_like(bias, 7.0).tobytes()),
+                      lambda at: f"{BIAS!r} at byte {at} repeats an earlier entry"),
+    "shape_2e32_by_2e32": (lambda bias: array_entry("huge", (2 ** 32, 2 ** 32)),
+                           lambda at: f"bytes for data of 'huge' at byte {at + 26}"),
+    "shape_3_by_2e62": (lambda bias: array_entry("huge", (3, 2 ** 62)),
+                        lambda at: f"bytes for data of 'huge' at byte {at + 26}"),
+    "empty_shape_too_big_for_numpy": (lambda bias: array_entry("huge", (0, 2 ** 63)),
+                                      lambda at: f"data of 'huge' at byte {at + 26}: bad shape"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ENTRY_FAULTS))
+def test_cli_infer_refuses_a_malformed_checkpoint_entry(tmp_path, capsys, fault):
+    make_entry, words = ENTRY_FAULTS[fault]
+    raw, at = committed_model_with(make_entry(load_checkpoint(BENCH_MODEL).parameters[BIAS]))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw)
+    cfg = RunConfig(seed=0)  # the committed model's configuration
+    scene_path = tmp_path / "scene_000.scene"
+    save_scene(scene_path, generate_scene(cfg.scene_spec(0)))
+    code = cli.main(["infer", "--config", write_config(tmp_path / "c.cfg", cfg),
+                     "--checkpoint", str(bad), "--scene", str(scene_path),
+                     "--out", str(tmp_path / "pred")])
+    assert code == cli.EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and words(at) in err
     assert not (tmp_path / "pred").exists()
 
 
