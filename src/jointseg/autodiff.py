@@ -88,9 +88,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
 
+def _tracks(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over ``parents`` is recorded: gradients can flow through it."""
+    return _RECORDING and any(p.requires_grad for p in parents)
+
+
 def _make(values: np.ndarray, parents: tuple[Tensor, ...], backprop) -> Tensor:
     """Wrap an op result, recording parents only when gradients can flow."""
-    track = _RECORDING and any(p.requires_grad for p in parents)
+    track = _tracks(parents)
     out = Tensor(values, requires_grad=track)
     if track:
         out._parents = parents
@@ -164,6 +169,14 @@ def _check_broadcast(sa: tuple[int, ...], sb: tuple[int, ...]) -> None:
     raise DimensionError(f"shapes {sa} and {sb} are not equal or single-axis broadcastable")
 
 
+def _add_into(fresh: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``fresh + b``, written into ``fresh``, an array no other tensor holds,
+    when the sum has its shape and dtype; otherwise a new array."""
+    fits = (np.broadcast_shapes(fresh.shape, b.shape) == fresh.shape
+            and np.result_type(fresh, b) == fresh.dtype)
+    return np.add(fresh, b, out=fresh if fits else None)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -179,7 +192,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor | tuple[Tensor, ...], b: Tensor) -> Tensor:
     """a + b over 2-D operands with single-axis broadcasting, as one node.
 
-    A tuple ``a`` is taken as its columns concatenated in order. Values and
+    A tuple ``a`` is taken as its columns concatenated in order, and the sum
+    is written into that fresh concatenation when it fits. Values and
     gradients equal those of ``add(concat(a), b)`` bit for bit.
     """
     parts = a if isinstance(a, tuple) else (a,)
@@ -191,7 +205,8 @@ def add(a: Tensor | tuple[Tensor, ...], b: Tensor) -> Tensor:
         _split_columns(_unbroadcast(g, shape), parts, accum)
         accum(b, _unbroadcast(g, b.shape))
 
-    return _make(av + b.values, parts + (b,), backprop)
+    out = _add_into(av, b.values) if len(parts) > 1 else av + b.values
+    return _make(out, parts + (b,), backprop)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -340,8 +355,10 @@ def pointwise_conv(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
 
     This is a 1D convolution with kernel size 1: every point (row) is mapped
     by the same (Cin, Cout) weight and (1, Cout) bias; a tuple ``x`` is taken
-    as its columns concatenated in order. Values and gradients equal those of
-    ``relu(add(matmul(concat(x), W), b))`` bit for bit (subgradient 0 at 0).
+    as its columns concatenated in order. The bias and the ReLU are applied in
+    place to the product, and backward reads the ReLU mask from the output.
+    Values and gradients equal those of ``relu(add(matmul(concat(x), W), b))``
+    bit for bit (subgradient 0 at 0).
     """
     if activation not in ("relu", "none"):
         raise ValueError(f"unknown activation {activation!r}")
@@ -350,13 +367,15 @@ def pointwise_conv(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
     if weight.values.ndim != 2 or xv.shape[1] != weight.shape[0]:
         raise DimensionError(f"channel mismatch: input {xv.shape} vs weight {weight.shape}")
     _check_broadcast((xv.shape[0], weight.shape[1]), bias.shape)
-    out = xv @ wv + bias.values
-    mask = out > 0 if activation == "relu" else None
-    if mask is not None:
-        out = np.fmax(out, 0)  # the bits of np.where(mask, out, 0), NaN and -0.0 included
+    relu = activation == "relu"
+    out = _add_into(xv @ wv, bias.values)
+    if relu:
+        # the bits of np.where(pre > 0, pre, 0), NaN and -0.0 included; out > 0
+        # then equals pre > 0 everywhere, so backward reads the mask from out
+        np.fmax(out, 0, out=out)
 
     def backprop(g, accum):
-        gm = g if mask is None else g * mask
+        gm = g * (out > 0) if relu else g
         if any(p.requires_grad for p in parts):
             _split_columns(gm @ wv.T, parts, accum)
         if weight.requires_grad:
@@ -369,7 +388,8 @@ def pointwise_conv(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
 def gate(a: Tensor, b: Tensor) -> Tensor:
     """``[a, b] · sigmoid(row mean of [a, b])`` as one node; values and
     gradients equal those of concat, reduce_mean over axis 1, sigmoid and mul
-    bit for bit."""
+    bit for bit. Without a recorded graph the product is written into the
+    fresh concatenation, which backward would otherwise read."""
     cat = _columns((a, b), "gate")
     v = cat.mean(axis=1, keepdims=True)
     s = np.empty_like(v)
@@ -382,7 +402,7 @@ def gate(a: Tensor, b: Tensor) -> Tensor:
         gs = (g * cat).sum(axis=1, keepdims=True)
         _split_columns(g * s + gs * s * (1.0 - s) / cat.shape[1], (a, b), accum)
 
-    return _make(cat * s, (a, b), backprop)
+    return _make(np.multiply(cat, s, out=None if _tracks((a, b)) else cat), (a, b), backprop)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

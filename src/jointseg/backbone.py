@@ -16,6 +16,8 @@ the ``LayerSpec`` into a ``BlockGeometry`` that a training loop can cache
 across iterations. The selections are exact, with distance ties going to
 the lowest point index as under a stable sort, yet no row of distances is
 fully sorted (see ``ball_group`` and ``nearest_neighbor_interpolation``).
+Each level's point-to-center distances are computed once, by farthest-point
+sampling, and read by its grouping and its interpolation matrices.
 """
 
 from __future__ import annotations
@@ -72,49 +74,44 @@ class DecoderFeatures:
 # ---------------------------------------------------------------------------
 # geometric primitives (pure numpy; selections are constants to the graph)
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) Euclidean distances between two (., 3) point sets.
-
-    Squares are summed axis by axis as ``(dx² + dy²) + dz²``, the order of
-    ``np.linalg.norm(a[:, None] - b[None], axis=2)``, so the two are equal bit
-    for bit, without that expression's (len(a), len(b), 3) temporary.
-    """
-    d = np.subtract.outer(a[:, 0], b[:, 0])
-    d *= d
-    t = np.empty_like(d)
-    for axis in (1, 2):
-        np.subtract.outer(a[:, axis], b[:, axis], out=t)
-        t *= t
-        d += t
-    return np.sqrt(d, out=d)
-
-
-def farthest_point_sampling(coords: np.ndarray, m: int) -> np.ndarray:
-    """Indices of m points chosen by iterative farthest-point selection.
+def farthest_point_sampling(coords: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of m points chosen by iterative farthest-point selection, and
+    the (m, N) distances from each pick (row i for pick i) to every point.
 
     The first pick is index 0 and distance ties resolve to the lowest index,
-    so the result is deterministic.
+    so the result is deterministic. Each row is written in place from the
+    coordinate columns as ``(dx² + dy²) + dz²`` and then ``sqrt``, the order of
+    ``np.linalg.norm(coords[picks][:, None] - coords[None], axis=2)``, so the
+    rows equal it bit for bit.
     """
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
     if m > n:
         raise ValueError(f"cannot sample {m} points from {n}")
+    axes = coords.T.copy()  # (3, N): one contiguous column per axis
     chosen = np.empty(m, dtype=np.int64)
-    chosen[0] = 0
-    dists = _distances(coords[:1], coords)[0]
-    for i in range(1, m):
-        nxt = int(np.argmax(dists))  # first max = lowest index on ties
-        chosen[i] = nxt
-        np.minimum(dists, _distances(coords[nxt:nxt + 1], coords)[0], out=dists)
-    return chosen
+    d = np.empty((m, n))
+    t = np.empty(n)
+    nearest = np.full(n, np.inf)  # distance to the nearest pick so far
+    for i, row in enumerate(d):
+        chosen[i] = pick = int(np.argmax(nearest))  # first max = lowest index on ties; 0 first
+        np.subtract(axes[0], axes[0, pick], out=row)
+        row *= row
+        for axis in axes[1:]:
+            np.subtract(axis, axis[pick], out=t)
+            t *= t
+            row += t
+        np.sqrt(row, out=row)
+        np.minimum(nearest, row, out=nearest)
+    return chosen, d
 
 
-def ball_group(coords: np.ndarray, centers: np.ndarray, radius: float,
-               max_neighbors: int) -> np.ndarray:
-    """Per center, up to ``max_neighbors`` point indices within ``radius``.
+def ball_group(d: np.ndarray, radius: float, max_neighbors: int) -> np.ndarray:
+    """Per center, up to ``max_neighbors`` point indices within ``radius``,
+    given the (m, N) distances ``d`` from each center to every point.
 
     Candidates are ordered by (distance, index); the center itself (distance
-    zero when centers are drawn from ``coords``) is always included, and any
+    zero when centers are drawn from the points) is always included, and any
     deficit is padded by repeating the first neighbor. A center with no point
     in range takes its nearest point (lowest index on ties) for every slot.
 
@@ -124,10 +121,7 @@ def ball_group(coords: np.ndarray, centers: np.ndarray, radius: float,
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    coords = np.asarray(coords, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    m, n = centers.shape[0], coords.shape[0]
-    d = _distances(centers, coords)  # (m, N)
+    m, n = d.shape
     k = min(max_neighbors, n)
     part = np.partition(d, k - 1, axis=1)[:, :k]  # each row's k smallest, kth last
     nearest, kth = part.min(axis=1), part[:, -1]
@@ -159,25 +153,24 @@ def _inverse_density_scale(coords: np.ndarray, idx: np.ndarray, bandwidth: float
     return inv / inv.mean(axis=1, keepdims=True)
 
 
-def nearest_neighbor_interpolation(fine_coords: np.ndarray, coarse_coords: np.ndarray,
-                                   k: int = 3, eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def nearest_neighbor_interpolation(d: np.ndarray, k: int = 3,
+                                   eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Indices and normalized inverse-square-distance weights of the k nearest
-    coarse points for every fine point. Distance ties resolve to the lowest
-    coarse index; weights form a convex combination.
+    coarse points for every fine point, given the (N_coarse, N_fine)
+    distances ``d``. Distance ties resolve to the lowest coarse index; weights
+    form a convex combination.
 
-    The neighbors come from k ``argmin`` passes, each masking the previous
-    pick with ``inf``; ``argmin`` returns the first minimum, so the picks
-    equal the first k columns of a stable sort.
+    The neighbors come from k ``argmin`` passes over one transposed copy of
+    ``d``, each masking the previous pick with ``inf``; ``argmin`` returns the
+    first minimum, so the picks equal the first k columns of a stable sort.
     """
-    fine = np.asarray(fine_coords, dtype=np.float64)
-    coarse = np.asarray(coarse_coords, dtype=np.float64)
-    if coarse.shape[0] == 0:
+    if d.shape[0] == 0:
         raise ValueError("no coarse points to interpolate from")
-    k = min(k, coarse.shape[0])
-    d = _distances(fine, coarse)
-    rows = np.arange(fine.shape[0])
-    order = np.empty((fine.shape[0], k), dtype=np.int64)
-    nd = np.empty((fine.shape[0], k))
+    k = min(k, d.shape[0])
+    d = d.T.copy()  # (N_fine, N_coarse), the one copy the masking writes into
+    rows = np.arange(d.shape[0])
+    order = np.empty((d.shape[0], k), dtype=np.int64)
+    nd = np.empty((d.shape[0], k))
     for j in range(k):
         order[:, j] = pick = d.argmin(axis=1)
         nd[:, j] = d[rows, pick]
@@ -187,11 +180,12 @@ def nearest_neighbor_interpolation(fine_coords: np.ndarray, coarse_coords: np.nd
     return order, w
 
 
-def interpolation_matrix(fine_coords: np.ndarray, coarse_coords: np.ndarray) -> np.ndarray:
-    """The 3-nearest-neighbor interpolation as a dense (N_fine, N_coarse)
-    row-stochastic matrix, so upsampling becomes one matrix product."""
-    idx, w = nearest_neighbor_interpolation(fine_coords, coarse_coords)
-    mat = np.zeros((fine_coords.shape[0], coarse_coords.shape[0]))
+def interpolation_matrix(d: np.ndarray, dtype) -> np.ndarray:
+    """The 3-nearest-neighbor interpolation over the (N_coarse, N_fine)
+    distances ``d`` as a dense (N_fine, N_coarse) row-stochastic matrix of
+    ``dtype``, so upsampling becomes one matrix product."""
+    idx, w = nearest_neighbor_interpolation(d)
+    mat = np.zeros(d.shape[::-1], dtype=dtype)
     np.put_along_axis(mat, idx, w, axis=1)
     return mat
 
@@ -285,16 +279,18 @@ class Backbone:
         self.instance_decoder = Decoder("instance_decoder", spec, rng, dtype)
 
     def compute_geometry(self, coords: np.ndarray) -> BlockGeometry:
-        """Per encoder level: farthest-point centers, their ball neighborhoods,
-        relative neighbor coordinates and, with ``density_reweight``, inverse
-        density scales; then the decoder's interpolation matrices."""
+        """Per encoder level: farthest-point centers and their distances to
+        the level's points, the centers' ball neighborhoods, relative neighbor
+        coordinates and, with ``density_reweight``, inverse density scales;
+        then the decoder's interpolation matrices from the same distances."""
         levels = [np.asarray(coords, dtype=np.float64)]
-        sa_indices, sa_rel, sa_scale = [], [], []
+        picks, dists, sa_indices, sa_rel, sa_scale = [], [], [], [], []
         spec = self.spec
         for npoint, radius, nsample in zip(spec.npoints, spec.radii, spec.nsamples):
             cur = levels[-1]
-            centers = cur[farthest_point_sampling(cur, npoint)]
-            idx = ball_group(cur, centers, radius, nsample)  # (m, ns)
+            chosen, d = farthest_point_sampling(cur, npoint)  # d: (m, N) center to point
+            centers = cur[chosen]
+            idx = ball_group(d, radius, nsample)  # (m, ns)
             rel = cur[idx] - centers[:, None, :]
             sa_indices.append(idx)
             sa_rel.append(ad.Tensor(rel.reshape(-1, 3).astype(self.dtype)))
@@ -302,13 +298,17 @@ class Backbone:
                                       .reshape(-1, 1).astype(self.dtype))
                             if spec.density_reweight else None)
             levels.append(centers)
+            picks.append(chosen)
+            dists.append(d)
 
-        def mat(fine, coarse):
-            return ad.Tensor(interpolation_matrix(levels[fine], levels[coarse]).astype(self.dtype))
+        def mat(d):
+            return ad.Tensor(interpolation_matrix(d, self.dtype))
 
+        # level 2's points are the level-1 points picks[1], so their distances to
+        # level 0 are those rows of level 0's distances
         return BlockGeometry(levels=levels, sa_indices=sa_indices, sa_rel=sa_rel,
-                             sa_scale=sa_scale, fp_mats=[mat(2, 3), mat(1, 2), mat(0, 1)],
-                             fusion_coarse=mat(0, 2))
+                             sa_scale=sa_scale, fp_mats=[mat(d) for d in dists[::-1]],
+                             fusion_coarse=mat(dists[0][picks[1]]))
 
     def apply(self, feats: ad.Tensor, geo: BlockGeometry) -> tuple[DecoderFeatures, DecoderFeatures]:
         encoded, skips = self.encoder.apply(feats, geo)

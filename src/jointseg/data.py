@@ -355,11 +355,22 @@ class ByteReader:
             raise self.error(f"{len(self.data) - self.off} unexpected trailing bytes at byte {self.off}")
 
 
+def _plain_fields(line: str) -> list[str]:
+    """The whitespace-separated fields of ``line``; ValueError if one holds an
+    underscore or a non-ASCII character, which int() and float() would read
+    as a digit separator or as any script's digits."""
+    fields = line.split()
+    for v in fields:
+        if "_" in v or not v.isascii():
+            raise ValueError(f"field {v!r} is not a plain ASCII number")
+    return fields
+
+
 def read_table(path, kind: str, preamble: int, floats: int, ints: int,
                rows: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Read the exact header ``<kind> v1 points=<n>``, ``preamble`` lines returned as
-    they are, ``n`` rows of ``floats`` numbers then ``ints`` integers, and only blank
-    lines after them. Returns the preamble, the (n, floats) and the (n, ints) arrays;
+    they are, ``n`` rows of ``floats`` numbers then ``ints`` integers, written in ASCII
+    without underscores, and only blank lines after them. Returns the preamble, the (n, floats) and the (n, ints) arrays;
     each failure raises ``SceneFormatError`` naming the line and, as ``rows``, the rows."""
     try:
         with open(path) as f:
@@ -367,7 +378,7 @@ def read_table(path, kind: str, preamble: int, floats: int, ints: int,
     except UnicodeDecodeError as e:
         raise SceneFormatError(f"{path}: {e}") from e
     head = lines[0] if lines else ""
-    match = re.fullmatch(rf"{kind} v1 points=(\d{{1,18}})", head)  # int() raises past 4,300 digits
+    match = re.fullmatch(rf"{kind} v1 points=([0-9]{{1,18}})", head)  # int() raises past 4,300 digits
     if match is None:
         raise SceneFormatError(f"{path} line 1: expected header '{kind} v1 points=<count >= 0>', "
                                f"got {head!r}")
@@ -377,8 +388,8 @@ def read_table(path, kind: str, preamble: int, floats: int, ints: int,
     values = np.empty((n, floats))
     labels = np.empty((n, ints), dtype=np.int64)
     for k, line in enumerate(lines[start: start + n]):
-        fields = line.split()
         try:
+            fields = _plain_fields(line)
             if len(fields) != floats + ints:
                 raise ValueError(f"expected {floats + ints} fields, got {len(fields)}")
             values[k] = [float(v) for v in fields[:floats]]
@@ -462,8 +473,8 @@ def _load_scene_text(path: str) -> Scene:
     (extent_line,), values, labels = read_table(path, "scene", 1, 6, 2, "points")
     if len(values) == 0:
         raise SceneFormatError(f"{path} line 1: scene file declares zero points")
-    fields = extent_line.split()
     try:
+        fields = _plain_fields(extent_line)
         if len(fields) != 4 or fields[0] != "extent":
             raise ValueError(f"expected 'extent x y z', got {extent_line!r}")
         extent = np.array([float(v) for v in fields[1:]])

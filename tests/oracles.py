@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from jointseg import autodiff as ad
+from jointseg.backbone import BlockGeometry, LayerSpec, _inverse_density_scale
 from jointseg.data import Scene
 from jointseg.inference import BlockPrediction, SceneSegmentation
 from jointseg.losses import DiscriminativeLossTerms, InstanceGrouping, LossConfig
@@ -606,6 +607,24 @@ def discriminative_loss_loop(embeddings: ad.Tensor, grouping: InstanceGrouping,
 # Norms over (m, N, 3) difference tensors, full stable argsorts and one
 # Python iteration per center; jointseg.backbone must equal these bit for bit.
 
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between two (., 3) point sets.
+
+    Squares are summed axis by axis as ``(dx² + dy²) + dz²``, the order of
+    ``np.linalg.norm(a[:, None] - b[None], axis=2)``, so the two are equal bit
+    for bit, without that expression's (len(a), len(b), 3) temporary. The
+    geometry primitives take these matrices in place of coordinates.
+    """
+    d = np.subtract.outer(a[:, 0], b[:, 0])
+    d *= d
+    t = np.empty_like(d)
+    for axis in (1, 2):
+        np.subtract.outer(a[:, axis], b[:, axis], out=t)
+        t *= t
+        d += t
+    return np.sqrt(d, out=d)
+
+
 def farthest_point_sampling_norm(coords: np.ndarray, m: int) -> np.ndarray:
     """Indices of m points chosen by iterative farthest-point selection.
 
@@ -667,3 +686,30 @@ def nearest_neighbor_interpolation_sorted(fine_coords: np.ndarray, coarse_coords
     w = 1.0 / (nd ** 2 + eps)
     w = w / w.sum(axis=1, keepdims=True)
     return order, w
+
+
+def geometry_oracle(spec: LayerSpec, coords: np.ndarray, dtype) -> BlockGeometry:
+    """``Backbone.compute_geometry`` composed from the sort-based references
+    above: each level's centers, groups and interpolation weights from its own
+    norms over coordinates, and each matrix built in float64 and then cast."""
+    levels = [np.asarray(coords, dtype=np.float64)]
+    sa_indices, sa_rel, sa_scale = [], [], []
+    for npoint, radius, nsample in zip(spec.npoints, spec.radii, spec.nsamples):
+        cur = levels[-1]
+        centers = cur[farthest_point_sampling_norm(cur, npoint)]
+        idx = ball_group_sorted(cur, centers, radius, nsample)
+        sa_indices.append(idx)
+        sa_rel.append(ad.Tensor((cur[idx] - centers[:, None, :]).reshape(-1, 3).astype(dtype)))
+        sa_scale.append(ad.Tensor(_inverse_density_scale(cur, idx, radius / 2)
+                                  .reshape(-1, 1).astype(dtype))
+                        if spec.density_reweight else None)
+        levels.append(centers)
+
+    def mat(fine, coarse):
+        idx, w = nearest_neighbor_interpolation_sorted(levels[fine], levels[coarse])
+        m = np.zeros((len(levels[fine]), len(levels[coarse])))
+        np.put_along_axis(m, idx, w, axis=1)
+        return ad.Tensor(m.astype(dtype))
+
+    return BlockGeometry(levels=levels, sa_indices=sa_indices, sa_rel=sa_rel, sa_scale=sa_scale,
+                         fp_mats=[mat(2, 3), mat(1, 2), mat(0, 1)], fusion_coarse=mat(0, 2))

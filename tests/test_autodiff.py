@@ -1,3 +1,4 @@
+import contextlib
 import math
 import zlib
 
@@ -149,21 +150,31 @@ def test_pointwise_conv_relu_keeps_the_bits_of_where_on_special_values(dtype):
         got = np.fmax(pre, 0)
         assert got.dtype == dtype
         assert np.array_equal(bits(got), bits(np.where(pre > 0, pre, 0)))
-    # through the node, against the three-node reference with its np.where
-    x0 = v[:, None]
+    # Through the node, against the three-node reference with its np.where.
+    # The node applies the ReLU in place and backward masks with out > 0, so
+    # pre-activations of 0, NaN of both signs, ±inf and ± subnormals (inputs
+    # of ±0.0) meet a random upstream gradient, with and without a graph.
+    x0 = np.resize(v, 3 * len(v))[:, None]
     w0 = np.ones((1, 4), dtype=dtype)
+    b0 = np.full((1, 4), -0.0, dtype=dtype)
+    pre = x0 @ w0 + b0
+    assert np.signbit(pre[np.isnan(pre)]).any() and not np.signbit(pre[np.isnan(pre)]).all()
+    assert {np.inf, -np.inf, 0.0, v[6], -v[6], v[8], -v[8]} <= set(pre.ravel().tolist())
+    probe = np.random.default_rng(3).standard_normal((len(x0), 4)).astype(dtype)
+    probe[::4] = 0.0
     results = []
     for conv in (ad.pointwise_conv, pointwise_conv_unfused):
         x = ad.Tensor(x0, requires_grad=True)
-        w = ad.Tensor(w0, requires_grad=True)
-        b = ad.Tensor(np.full((1, 4), -0.0, dtype=dtype), requires_grad=True)
+        w, b = ad.Tensor(w0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
         with np.errstate(invalid="ignore"):  # W's gradient sums NaN and inf inputs
             out = conv(x, w, b, "relu")
-            ad.backward(scalar_loss(out, np.ones((len(v), 4), dtype=dtype)))
-        results.append((out.values, x.grad, w.grad, b.grad))
+            ad.backward(scalar_loss(out, probe))
+        with ad.no_grad():
+            plain = conv(x, w, b, "relu")
+        results.append((out.values, plain.values, x.grad, w.grad, b.grad))
     fused, unfused = results
     for got, want in zip(fused, unfused):
-        assert np.array_equal(bits(got), bits(want))
+        assert got.dtype == dtype and np.array_equal(bits(got), bits(want))
 
 
 @pytest.mark.parametrize("activation", ["relu", "none"])
@@ -357,6 +368,70 @@ def test_tuple_add_checks_row_counts_and_broadcast():
             ad.add((a, b), ad.Tensor(c))
     out = ad.add((a, b), ad.Tensor(np.arange(5.0)[None]))
     assert np.array_equal(out.values, np.tile(np.arange(5.0), (4, 1)))
+
+
+# ---------------------------------------------------------------------------
+# outputs written in place: never into an input
+
+def assert_inputs_kept(tensors, before, out):
+    for t, v in zip(tensors, before):
+        assert np.array_equal(bits(t.values), bits(v))
+        assert not np.shares_memory(out.values, t.values)
+
+
+@pytest.mark.parametrize("recording", [True, False])
+def test_one_part_conv_and_single_operand_add_leave_their_operand_alone(recording):
+    # the convolution writes into its fresh product and a tuple add into its
+    # fresh concatenation; a single operand is the caller's array
+    rng = np.random.default_rng(11)
+    x, w, b = (ad.Tensor(rng.standard_normal(s), requires_grad=True)
+               for s in ((6, 4), (4, 4), (1, 4)))
+    inputs = (x, w, b)
+    before = [t.values.copy() for t in inputs]
+    with contextlib.nullcontext() if recording else ad.no_grad():
+        for x_arg in (x, (x,)):
+            out = ad.pointwise_conv(x_arg, w, b, "relu")
+            assert np.array_equal(out.values, np.fmax(before[0] @ before[1] + before[2], 0))
+            assert_inputs_kept(inputs, before, out)
+            out = ad.add(x_arg, b)
+            assert np.array_equal(out.values, before[0] + before[2])
+            assert_inputs_kept(inputs, before, out)
+
+
+@pytest.mark.parametrize("case", ["concat_is_the_broadcast_row", "concat_narrower_than_b"])
+def test_tuple_add_allocates_when_the_sum_does_not_fit_its_concatenation(case):
+    rng = np.random.default_rng(12)
+    rows, dtype, c_rows = (1, np.float64, 40) if case == "concat_is_the_broadcast_row" \
+        else (40, np.float32, 1)
+    a0 = rng.standard_normal((rows, 3)).astype(dtype)
+    b0 = rng.standard_normal((rows, 5)).astype(dtype)
+    c0 = rng.standard_normal((c_rows, 8))
+    probe = rng.standard_normal((40, 8))
+    results = []
+    for fused in (True, False):
+        a, b, c = (ad.Tensor(v, requires_grad=True) for v in (a0, b0, c0))
+        out = ad.add((a, b), c) if fused else ad.add(concat(a, b), c)
+        assert out.shape == (40, 8) and out.dtype == np.float64
+        assert_inputs_kept((a, b, c), (a0, b0, c0), out)
+        ad.backward(scalar_loss(out, probe))
+        results.append((out.values, a.grad, b.grad, c.grad))
+    fused, unfused = results
+    for got, want in zip(fused, unfused):
+        assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gate_without_a_graph_writes_in_place_to_the_same_bits(dtype):
+    a0, b0 = gate_case(dtype)
+    a, b = ad.Tensor(a0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+    recorded = ad.gate(a, b)
+    with ad.no_grad():
+        plain = ad.gate(a, b)
+    constant = ad.gate(ad.Tensor(a0), ad.Tensor(b0))  # recording, but no gradient can flow
+    assert recorded._parents == (a, b) and plain._parents == constant._parents == ()
+    for out in (plain, constant):
+        assert np.array_equal(bits(out.values), bits(recorded.values))
+        assert_inputs_kept((a, b), (gate_case(dtype)), out)
 
 
 def test_broadcast_rejects_two_axis_mismatch():

@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from jointseg import autodiff as ad
-from jointseg import backbone
-from jointseg.backbone import (Backbone, LayerSpec, _distances, ball_group,
-                               farthest_point_sampling, interpolation_matrix,
-                               nearest_neighbor_interpolation)
-from oracles import (ball_group_sorted, farthest_point_sampling_norm, fd_grad, max_rel_err,
-                     nearest_neighbor_interpolation_sorted, reduce_sum)
+from jointseg.backbone import (Backbone, LayerSpec, ball_group, farthest_point_sampling,
+                               interpolation_matrix, nearest_neighbor_interpolation)
+from oracles import (ball_group_sorted, distances, farthest_point_sampling_norm, fd_grad,
+                     geometry_oracle, max_rel_err, nearest_neighbor_interpolation_sorted,
+                     reduce_sum)
+
+
+def fps(coords, m):
+    """The farthest-point picks alone."""
+    return farthest_point_sampling(coords, m)[0]
+
+
+def interpolate(fine, coarse):
+    """Nearest-neighbor interpolation between two point sets."""
+    return nearest_neighbor_interpolation(distances(coarse, fine))
 
 
 def tiny_spec():
@@ -22,26 +31,26 @@ def tiny_spec():
 
 def test_fps_all_points_is_permutation():
     coords = np.random.default_rng(0).uniform(0, 1, (20, 3))
-    idx = farthest_point_sampling(coords, 20)
+    idx = fps(coords, 20)
     assert np.array_equal(np.sort(idx), np.arange(20))
 
 
 def test_fps_single_point_is_index_zero():
     coords = np.random.default_rng(1).uniform(0, 1, (9, 3))
-    assert farthest_point_sampling(coords, 1).tolist() == [0]
+    assert fps(coords, 1).tolist() == [0]
 
 
 def test_fps_two_far_clusters_picks_one_from_each():
     rng = np.random.default_rng(2)
     a = rng.normal(0, 0.01, (10, 3))
     b = rng.normal(0, 0.01, (10, 3)) + 10.0
-    idx = farthest_point_sampling(np.concatenate([a, b]), 2)
+    idx = fps(np.concatenate([a, b]), 2)
     assert (idx < 10).sum() == 1 and (idx >= 10).sum() == 1
 
 
 def test_fps_matches_greedy_max_min_oracle():
     coords = np.random.default_rng(3).uniform(0, 1, (12, 3))
-    idx = farthest_point_sampling(coords, 6)
+    idx = fps(coords, 6)
     chosen = [0]
     for _ in range(5):
         # exhaustive max-min distance step, ties to the lowest index
@@ -64,7 +73,7 @@ def test_fps_rejects_oversampling():
 
 def test_ball_group_huge_radius_caps_at_max_neighbors():
     coords = np.random.default_rng(4).uniform(0, 1, (10, 3))
-    idx = ball_group(coords, coords[:2], radius=100.0, max_neighbors=6)
+    idx = ball_group(distances(coords[:2], coords), radius=100.0, max_neighbors=6)
     assert idx.shape == (2, 6)
     for row in idx:
         assert np.unique(row).size == 6  # capped, no padding needed
@@ -72,7 +81,7 @@ def test_ball_group_huge_radius_caps_at_max_neighbors():
 
 def test_ball_group_isolated_center_pads_with_itself():
     coords = np.array([[0.0, 0, 0], [10.0, 0, 0], [10.1, 0, 0]])
-    idx = ball_group(coords, coords[:1], radius=0.5, max_neighbors=4)
+    idx = ball_group(distances(coords[:1], coords), radius=0.5, max_neighbors=4)
     assert idx.tolist() == [[0, 0, 0, 0]]
 
 
@@ -81,7 +90,7 @@ def test_ball_group_matches_brute_force_range_query():
     coords = rng.uniform(0, 1, (30, 3))
     centers = coords[[3, 11, 27]]
     radius = 0.35
-    idx = ball_group(coords, centers, radius, max_neighbors=30)
+    idx = ball_group(distances(centers, coords), radius, max_neighbors=30)
     for c, row in zip(centers, idx):
         members = {j for j in range(30) if np.linalg.norm(coords[j] - c) <= radius}
         assert set(row.tolist()) == members
@@ -89,14 +98,14 @@ def test_ball_group_matches_brute_force_range_query():
 
 def test_ball_group_center_always_first():
     coords = np.random.default_rng(6).uniform(0, 1, (15, 3))
-    centers = farthest_point_sampling(coords, 5)
-    idx = ball_group(coords, coords[centers], radius=0.3, max_neighbors=8)
+    centers, d = farthest_point_sampling(coords, 5)
+    idx = ball_group(d, radius=0.3, max_neighbors=8)
     assert np.array_equal(idx[:, 0], centers)
 
 
 def test_ball_group_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
-        ball_group(np.zeros((3, 3)), np.zeros((1, 3)), 0.0, 4)
+        ball_group(np.zeros((1, 3)), 0.0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +113,7 @@ def test_ball_group_rejects_nonpositive_radius():
 
 def test_interpolation_weights_are_convex():
     rng = np.random.default_rng(7)
-    idx, w = nearest_neighbor_interpolation(rng.uniform(0, 1, (20, 3)), rng.uniform(0, 1, (6, 3)))
+    idx, w = interpolate(rng.uniform(0, 1, (20, 3)), rng.uniform(0, 1, (6, 3)))
     assert np.all(w >= 0)
     assert np.allclose(w.sum(axis=1), 1.0)
     assert idx.shape == (20, 3)
@@ -112,14 +121,16 @@ def test_interpolation_weights_are_convex():
 
 def test_interpolation_coincident_point_dominates():
     coarse = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
-    idx, w = nearest_neighbor_interpolation(coarse[:1], coarse)
+    idx, w = interpolate(coarse[:1], coarse)
     assert idx[0, 0] == 0
     assert w[0, 0] > 1 - 1e-6
 
 
 def test_interpolation_constant_features_stay_constant():
     rng = np.random.default_rng(8)
-    mat = interpolation_matrix(rng.uniform(0, 1, (15, 3)), rng.uniform(0, 1, (5, 3)))
+    mat = interpolation_matrix(distances(rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, (15, 3))),
+                               np.float64)
+    assert mat.shape == (15, 5)
     out = mat @ np.full((5, 4), 3.25)
     assert np.allclose(out, 3.25)
 
@@ -128,7 +139,7 @@ def test_interpolation_one_dimensional_hand_case():
     # fine point at x=1 between coarse points at 0, 2, 5
     coarse = np.array([[0.0, 0, 0], [2.0, 0, 0], [5.0, 0, 0]])
     fine = np.array([[1.0, 0, 0]])
-    idx, w = nearest_neighbor_interpolation(fine, coarse)
+    idx, w = interpolate(fine, coarse)
     feats = np.array([[1.0], [5.0], [9.0]])
     out = (w[0][:, None] * feats[idx[0]]).sum(axis=0)
     # weights 1/1, 1/1, 1/16 normalized: (16/33, 16/33, 1/33); the 1e-8
@@ -138,7 +149,7 @@ def test_interpolation_one_dimensional_hand_case():
 
 
 def test_interpolation_fewer_than_three_coarse_points():
-    idx, w = nearest_neighbor_interpolation(np.zeros((4, 3)), np.array([[1.0, 0, 0], [2.0, 0, 0]]))
+    idx, w = interpolate(np.zeros((4, 3)), np.array([[1.0, 0, 0], [2.0, 0, 0]]))
     assert idx.shape == (4, 2)
     assert np.allclose(w.sum(axis=1), 1.0)
 
@@ -153,31 +164,42 @@ def lattice(side: int, seed: int | None = None) -> np.ndarray:
     return pts if seed is None else pts[np.random.default_rng(seed).permutation(len(pts))]
 
 
+def norm_rows(coords, picks):
+    return np.linalg.norm(coords[picks][:, None] - coords[None], axis=2)
+
+
 def test_distances_equal_linalg_norm_bitwise():
     # Pins the summation order: if numpy changes how norm reduces its last
     # axis, the geometry no longer equals the reference and this must fail.
+    # The oracle's matrices feed the primitives in the tests below, and
+    # farthest-point sampling writes its rows the same way.
     rng = np.random.default_rng(20)
     for scale in (1e-3, 1.0, 1e3):
         for na, nb in ((1, 4096), (129, 517), (4096, 1)):
             a, b = rng.uniform(-scale, scale, (na, 3)), rng.uniform(-scale, scale, (nb, 3))
-            assert np.array_equal(_distances(a, b),
+            assert np.array_equal(distances(a, b),
                                   np.linalg.norm(a[:, None] - b[None], axis=2))
+        coords = rng.uniform(-scale, scale, (517, 3))
+        picks, d = farthest_point_sampling(coords, 129)
+        assert np.array_equal(d, norm_rows(coords, picks))
     pts = lattice(4, seed=0) * 0.1
-    assert np.array_equal(_distances(pts, pts), np.linalg.norm(pts[:, None] - pts[None], axis=2))
+    assert np.array_equal(distances(pts, pts), np.linalg.norm(pts[:, None] - pts[None], axis=2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 100, 512, 4096])
 def test_geometry_matches_oracles_on_random_clouds(n):
     coords = np.random.default_rng(n).uniform(0, 1, (n, 3)) * (1.0, 1.0, 0.8)
     m = min(n, 128)
-    centers = farthest_point_sampling(coords, m)
+    centers, d = farthest_point_sampling(coords, m)
     assert np.array_equal(centers, farthest_point_sampling_norm(coords, m))
+    assert np.array_equal(d, norm_rows(coords, centers))
     for radius, nsample in ((0.2, 16), (0.05, 4), (2.0, 16)):
-        got = ball_group(coords, coords[centers], radius, nsample)
+        got = ball_group(d, radius, nsample)
         assert np.array_equal(got, ball_group_sorted(coords, coords[centers], radius, nsample))
     coarse = coords[centers]
-    for fine in (coords, np.random.default_rng(n + 1).uniform(0, 1, (64, 3))):
-        idx, w = nearest_neighbor_interpolation(fine, coarse)
+    other = np.random.default_rng(n + 1).uniform(0, 1, (64, 3))
+    for fine, dist in ((coords, d), (other, distances(coarse, other))):
+        idx, w = nearest_neighbor_interpolation(dist)
         ref_idx, ref_w = nearest_neighbor_interpolation_sorted(fine, coarse)
         assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w)
 
@@ -190,7 +212,7 @@ def test_ball_group_lattice_ties_match_oracle(radius, nsample):
     # nsample >= N (125 points)
     for seed in (None, 1):
         coords = lattice(5, seed)
-        got = ball_group(coords, coords, radius, nsample)
+        got = ball_group(distances(coords, coords), radius, nsample)
         assert np.array_equal(got, ball_group_sorted(coords, coords, radius, nsample))
 
 
@@ -201,7 +223,7 @@ def test_ball_group_centers_off_the_point_set_match_oracle(radius, nsample):
     # at 0.9. Far centers are isolated with a unique nearest point.
     coords = lattice(4, seed=2)
     centers = np.concatenate([lattice(3) + 0.5, [[10.0, 0, 0], [-5.0, 2.0, 1.0]]])
-    got = ball_group(coords, centers, radius, nsample)
+    got = ball_group(distances(centers, coords), radius, nsample)
     assert np.array_equal(got, ball_group_sorted(coords, centers, radius, nsample))
 
 
@@ -210,7 +232,7 @@ def test_interpolation_lattice_ties_match_oracle(n_coarse):
     # fine lattice points tie exactly at the 1st, 2nd and 3rd coarse neighbor
     fine = np.concatenate([lattice(4, seed=3), lattice(3) + 0.5])
     coarse = (lattice(3, seed=4) * 2.0)[:n_coarse]
-    idx, w = nearest_neighbor_interpolation(fine, coarse)
+    idx, w = interpolate(fine, coarse)
     ref_idx, ref_w = nearest_neighbor_interpolation_sorted(fine, coarse)
     assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w)
     assert idx.shape == (len(fine), min(3, n_coarse))
@@ -219,13 +241,9 @@ def test_interpolation_lattice_ties_match_oracle(n_coarse):
 def test_fps_lattice_ties_match_oracle():
     for seed in (None, 5):
         coords = lattice(5, seed)
-        assert np.array_equal(farthest_point_sampling(coords, 64),
-                              farthest_point_sampling_norm(coords, 64))
-
-
-ORACLES = {"farthest_point_sampling": farthest_point_sampling_norm,
-           "ball_group": ball_group_sorted,
-           "nearest_neighbor_interpolation": nearest_neighbor_interpolation_sorted}
+        picks, d = farthest_point_sampling(coords, 64)
+        assert np.array_equal(picks, farthest_point_sampling_norm(coords, 64))
+        assert np.array_equal(d, norm_rows(coords, picks))
 
 
 def geometry_arrays(geo):
@@ -233,17 +251,29 @@ def geometry_arrays(geo):
             + [t.values for t in geo.fp_mats] + [geo.fusion_coarse.values])
 
 
-@pytest.mark.parametrize("n, dtype", [(512, np.float32), (4096, np.float32), (512, np.float64)])
-def test_compute_geometry_matches_oracle_path(monkeypatch, n, dtype):
-    bb = Backbone(LayerSpec(), np.random.default_rng(0), dtype)
-    coords = np.random.default_rng(n).uniform(0, 1, (n, 3)) * (1.0, 1.0, 0.8)
-    got = geometry_arrays(bb.compute_geometry(coords))
-    for name, oracle in ORACLES.items():
-        monkeypatch.setattr(backbone, name, oracle)
-    ref = geometry_arrays(bb.compute_geometry(coords))
-    assert len(got) == len(ref) == 14
-    for a, b in zip(got, ref):
+def geometry_cloud(name):
+    """A random block of 512 or 4096 points, or a shuffled 16³ lattice at a
+    spacing of 1/16, whose distances tie exactly and stay exact."""
+    if name == "lattice16":
+        return lattice(16, seed=6) / 16
+    n = int(name)
+    return np.random.default_rng(n).uniform(0, 1, (n, 3)) * (1.0, 1.0, 0.8)
+
+
+@pytest.mark.parametrize("cloud, dtype", [("512", np.float32), ("4096", np.float32),
+                                          ("512", np.float64), ("lattice16", np.float32)])
+def test_compute_geometry_matches_oracle_path(cloud, dtype):
+    spec = LayerSpec()
+    coords = geometry_cloud(cloud)
+    got = Backbone(spec, np.random.default_rng(0), dtype).compute_geometry(coords)
+    ref = geometry_oracle(spec, coords, dtype)
+    got_arrays, ref_arrays = geometry_arrays(got), geometry_arrays(ref)
+    assert len(got_arrays) == len(ref_arrays) == 14
+    for a, b in zip(got_arrays, ref_arrays):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    for level, npoint in zip(got.levels, spec.npoints):
+        picks, d = farthest_point_sampling(level, npoint)
+        assert np.array_equal(d, norm_rows(level, picks))
 
 
 def test_compute_geometry_peak_memory_at_paper_block_size():
@@ -323,7 +353,7 @@ def test_decoder_coincident_point_takes_coarse_feature():
     dec.fp_full.weight.assign(w)
     df = dec.apply(encoded, skips, geo)
     f_b = dec.fp_mid((skips[1], ad.matmul(geo.fp_mats[1], df.coarse)))
-    centers = farthest_point_sampling(feats[:, :3], tiny_spec().npoints[0])
+    centers = fps(feats[:, :3], tiny_spec().npoints[0])
     assert f_b.values.max() > 0.1
     assert np.allclose(df.full.values[centers], f_b.values, atol=1e-4)
 

@@ -5,7 +5,7 @@ import numpy as np
 from jointseg import autodiff as ad
 from jointseg.backbone import DecoderFeatures, interpolation_matrix
 from jointseg.fusion import FeatureFusion
-from oracles import fd_grad, max_rel_err, reduce_sum
+from oracles import distances, fd_grad, max_rel_err, reduce_sum
 
 
 class Coords(NamedTuple):
@@ -34,12 +34,16 @@ def make_df(rng, n_full=12, n_mid=6, n_coarse=3, dtype=np.float64):
                       rng.uniform(0, 1, (n_coarse, 3)))
 
 
+def upsample_matrix(fine, coarse):
+    return ad.Tensor(interpolation_matrix(distances(coarse, fine), np.float64))
+
+
 def fuse(ff, df, coords):
     """Fusion output with the interpolation matrices built from ``coords``;
     the mid level is upsampled first, as the decoder hands it over."""
-    mid_up = ad.matmul(ad.Tensor(interpolation_matrix(coords.full, coords.mid)), df.mid)
+    mid_up = ad.matmul(upsample_matrix(coords.full, coords.mid), df.mid)
     return ff.apply(DecoderFeatures(full=df.full, mid_up=mid_up, coarse=df.coarse),
-                    ad.Tensor(interpolation_matrix(coords.full, coords.coarse)))
+                    upsample_matrix(coords.full, coords.coarse))
 
 
 def test_output_shape_is_fixed_regardless_of_level_sizes():

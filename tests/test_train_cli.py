@@ -511,8 +511,12 @@ def test_cli_data_error_exit_code(tmp_path):
     ("result v1 points=" + "9" * 5000 + "\n", 1),
     ("result v1 points=2\n0 0\n1\n", 3),
     ("result v1 points=2\n0 0\n1 0.5\n", 3),
+    ("result v1 points=2\n0 0\n1_0 0\n", 3),
+    ("result v1 points=2\n0 0\n\u0663 1\n", 3),
+    ("result v1 points=\u0663\n0 0\n0 0\n0 0\n", 1),
 ], ids=["no_count", "count_not_a_number", "count_negative", "version_12", "count_of_5000_digits",
-        "one_column_row", "non_integer_entry"])
+        "one_column_row", "non_integer_entry", "class_with_underscore",
+        "class_in_arabic_indic_digits", "count_in_arabic_indic_digits"])
 def test_cli_eval_rejects_malformed_result(tmp_path, capsys, text, line):
     scene_path = tmp_path / "scene.scene"
     save_scene(scene_path, generate_scene(tiny_config().scene_spec(0)))
@@ -622,6 +626,9 @@ TEXT_FAULTS = {
     "count_negative": (1, lambda f: f[:2] + ["points=-1"]),
     "version_7": (1, lambda f: [f[0], "v7", f[2]]),
     "count_of_5000_digits": (1, lambda f: f[:2] + ["points=" + "9" * 5000]),
+    "underscore_in_coordinate": (4, lambda f: ["0_5"] + f[1:]),
+    "label_in_arabic_indic_digits": (4, lambda f: f[:6] + ["\u0660"] + f[7:]),
+    "underscore_in_extent": (2, lambda f: f[:1] + ["1_5"] + f[2:]),
 }
 
 
