@@ -2,12 +2,15 @@
 
 A small numpy-backed engine providing exactly the differentiable primitives
 the segmentation network needs: matrix products, per-point (kernel-size-1)
-convolutions of one input or a tuple of inputs fused with their column
-concatenation, bias and ReLU into one graph node, sums (of one input or a
-tuple of inputs taken as their concatenated columns) and products with
-single-axis broadcasting, scaling, axis means, the sigmoid gate of the joint
-head, row gather/scatter, grouped max pooling, a fused softmax
+convolutions fused with their bias, per-row scale and ReLU into one graph
+node, sums and products with single-axis broadcasting, scaling, axis means,
+the sigmoid gate of the joint head and the per-row scale of a gate over
+``[a, a + b]``, row gather, grouped max pooling, a fused softmax
 cross-entropy, and the discriminative loss's per-row squared L1 hinge.
+
+A convolution takes terms bound to row blocks of its weight, so
+``[a, P @ x] · W`` runs as ``a · W_top + P @ (x · W_bot)``, building neither
+the concatenation nor the upsampled rows.
 
 Tensors are immutable after construction except for their ``grad`` buffers.
 Operations executed while recording is enabled (the default) build a dynamic
@@ -18,7 +21,6 @@ graph; ``backward`` on a scalar loss accumulates d(loss)/d(leaf) into the
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 
 import numpy as np
@@ -169,12 +171,12 @@ def _check_broadcast(sa: tuple[int, ...], sb: tuple[int, ...]) -> None:
     raise DimensionError(f"shapes {sa} and {sb} are not equal or single-axis broadcastable")
 
 
-def _add_into(fresh: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``fresh + b``, written into ``fresh``, an array no other tensor holds,
-    when the sum has its shape and dtype; otherwise a new array."""
+def _into(op, fresh: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``op(fresh, b)``, written into ``fresh``, an array no other tensor
+    holds, when the result has its shape and dtype; otherwise a new array."""
     fits = (np.broadcast_shapes(fresh.shape, b.shape) == fresh.shape
             and np.result_type(fresh, b) == fresh.dtype)
-    return np.add(fresh, b, out=fresh if fits else None)
+    return op(fresh, b, out=fresh if fits else None)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -189,24 +191,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
-def add(a: Tensor | tuple[Tensor, ...], b: Tensor) -> Tensor:
-    """a + b over 2-D operands with single-axis broadcasting, as one node.
-
-    A tuple ``a`` is taken as its columns concatenated in order, and the sum
-    is written into that fresh concatenation when it fits. Values and
-    gradients equal those of ``add(concat(a), b)`` bit for bit.
-    """
-    parts = a if isinstance(a, tuple) else (a,)
-    av = _columns(parts, "add")
-    _check_broadcast(av.shape, b.shape)
-    shape = av.shape
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b with single-axis broadcasting."""
+    _check_broadcast(a.shape, b.shape)
 
     def backprop(g, accum):
-        _split_columns(_unbroadcast(g, shape), parts, accum)
+        accum(a, _unbroadcast(g, a.shape))
         accum(b, _unbroadcast(g, b.shape))
 
-    out = _add_into(av, b.values) if len(parts) > 1 else av + b.values
-    return _make(out, parts + (b,), backprop)
+    return _make(a.values + b.values, (a, b), backprop)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -296,19 +289,6 @@ def reduce_mean(x: Tensor, axis: int) -> Tensor:
     return _make(out, (x,), backprop)
 
 
-def _columns(parts: tuple[Tensor, ...], op: str) -> np.ndarray:
-    """Column-wise concatenation of 2-D operands; one operand is used as is."""
-    if any(p.values.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
-        raise DimensionError(f"{op} needs 2-D operands with equal row counts, got {[p.shape for p in parts]}")
-    return parts[0].values if len(parts) == 1 else np.concatenate([p.values for p in parts], axis=1)
-
-
-def _split_columns(g: np.ndarray, parts: tuple[Tensor, ...], accum) -> None:
-    """Backward of ``_columns``: each operand takes its column view of g, in order."""
-    for p, stop in zip(parts, itertools.accumulate(p.shape[1] for p in parts)):
-        accum(p, g[:, stop - p.shape[1]:stop])
-
-
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows by index; backward scatter-adds into the source rows."""
     idx = np.asarray(indices, dtype=np.int64).ravel()
@@ -330,45 +310,95 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
 def rowmax_pool(x: Tensor, group_size: int) -> Tensor:
     """Max over each contiguous group of ``group_size`` rows.
 
-    Input (m*group_size, C) -> output (m, C). The gradient flows only to the
-    argmax row of each (group, channel); ties resolve to the lowest row index.
+    Input (m*group_size, C) -> output (m, C), the ``np.max`` of each group.
+    The gradient flows only to the argmax row of each (group, channel); ties
+    resolve to the lowest row index. The argmax is taken in backward, so a
+    forward without a recorded graph does no more than the max.
     """
     n, c = x.shape
     if group_size <= 0 or n % group_size != 0:
         raise DimensionError(f"row count {n} not divisible by group size {group_size}")
     m = n // group_size
     blocks = x.values.reshape(m, group_size, c)
-    arg = blocks.argmax(axis=1)  # (m, C), first max wins
-    out = np.take_along_axis(blocks, arg[:, None, :], axis=1)[:, 0, :]
 
     def backprop(g, accum):
+        arg = blocks.argmax(axis=1)  # (m, C), first max wins
         z = np.zeros((m, group_size, c), dtype=g.dtype)
         np.put_along_axis(z, arg[:, None, :], g[:, None, :], axis=1)
         accum(x, z.reshape(n, c))
 
-    return _make(out, (x,), backprop)
+    return _make(blocks.max(axis=1), (x,), backprop)
 
 
-def pointwise_conv(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
-                   activation: str = "relu") -> Tensor:
-    """Per-point shared affine map x @ W + b with optional ReLU, as one node.
+def _conv_terms(x, weight: Tensor) -> list[tuple]:
+    """The terms of a convolution input as (P values or None, operand, row
+    slices, summed weight rows), one per distinct (P, operand) pair in order
+    of first use, checked against the weight."""
+    terms = [(x, slice(None))] if isinstance(x, Tensor) else x
+    groups: dict[tuple[int, int], tuple] = {}
+    for term in terms:
+        *left, t, rows = term
+        p = left[0] if left else None
+        if t.values.ndim != 2 or weight.values[rows].shape[0] != t.shape[1]:
+            raise DimensionError(f"channel mismatch: operand {t.shape} vs rows {rows} "
+                                 f"of weight {weight.shape}")
+        if p is not None and (p.requires_grad or p.values.ndim != 2 or p.shape[1] != t.shape[0]):
+            raise DimensionError(f"left matrix {p.shape} (requires_grad={p.requires_grad}) "
+                                 f"must be a constant with {t.shape[0]} columns")
+        groups.setdefault((id(p), id(t)), (p, t, []))[2].append(rows)
+    out = []
+    for p, t, blocks in groups.values():
+        w = weight.values[blocks[0]]
+        for rows in blocks[1:]:
+            w = w + weight.values[rows]
+        out.append((None if p is None else p.values, t, blocks, w))
+    return out
 
-    This is a 1D convolution with kernel size 1: every point (row) is mapped
-    by the same (Cin, Cout) weight and (1, Cout) bias; a tuple ``x`` is taken
-    as its columns concatenated in order. The bias and the ReLU are applied in
-    place to the product, and backward reads the ReLU mask from the output.
-    Values and gradients equal those of ``relu(add(matmul(concat(x), W), b))``
-    bit for bit (subgradient 0 at 0).
+
+def pointwise_conv(x, weight: Tensor, bias: Tensor, activation: str = "relu",
+                   scale: Tensor | None = None) -> Tensor:
+    """Per-point shared affine map with optional per-row scale and ReLU, as
+    one node: ``relu(s ⊙ Σ_t P_t @ (x_t @ W[rows_t]) + b)``.
+
+    A 1D convolution with kernel size 1: every point (row) is mapped by the
+    same (Cin, Cout) weight and (1, Cout) bias. ``x`` is one (N, Cin) tensor,
+    mapped by the whole weight, or a sequence of terms ``(x, rows)`` or
+    ``(P, x, rows)``: the operand is mapped by the row block ``weight[rows]``
+    (a slice), then by the constant left matrix ``P`` if given. Terms on
+    consecutive row blocks map the operands' column concatenation, and a
+    ``(P, x)`` term maps ``P @ x``, with neither built. Terms that share an
+    operand and ``P`` are merged, their row blocks summed; a one-row term is
+    added to every row. ``scale`` is an optional (N, 1) factor per row.
+
+    The scale, bias and ReLU are applied in place to the summed products,
+    and backward reads the ReLU mask from the output. One tensor ``x`` gives
+    the bits of ``relu(add(matmul(x, W), b))`` (subgradient 0 at 0); terms
+    equal the composition over the concatenation up to rounding.
     """
     if activation not in ("relu", "none"):
         raise ValueError(f"unknown activation {activation!r}")
-    parts = x if isinstance(x, tuple) else (x,)
-    xv, wv = _columns(parts, "pointwise_conv"), weight.values
-    if weight.values.ndim != 2 or xv.shape[1] != weight.shape[0]:
-        raise DimensionError(f"channel mismatch: input {xv.shape} vs weight {weight.shape}")
-    _check_broadcast((xv.shape[0], weight.shape[1]), bias.shape)
+    if weight.values.ndim != 2:
+        raise DimensionError(f"weight must be 2-D, got {weight.shape}")
+    terms = _conv_terms(x, weight)
+    lengths = {t.shape[0] if p is None else p.shape[0] for p, t, _, _ in terms}
+    n = max(lengths)
+    if not lengths <= {1, n}:
+        raise DimensionError(f"pointwise_conv terms need equal row counts (or one row), "
+                             f"got {sorted(lengths)}")
+    _check_broadcast((n, weight.shape[1]), bias.shape)
+    if scale is not None and scale.shape != (n, 1):
+        raise DimensionError(f"scale must be ({n}, 1), got {scale.shape}")
+    parents = tuple(t for _, t, _, _ in terms) + (weight, bias) + (() if scale is None else (scale,))
+    keep = scale is not None and scale.requires_grad and _tracks(parents)
+    z = None
+    for p, t, _, w in terms:
+        y = t.values @ w if p is None else p @ (t.values @ w)
+        z = y if z is None else _into(np.add, z, y)
+    out = z
+    if scale is not None:
+        out = z * scale.values if keep else _into(np.multiply, z, scale.values)
+    out = _into(np.add, out, bias.values)
     relu = activation == "relu"
-    out = _add_into(xv @ wv, bias.values)
     if relu:
         # the bits of np.where(pre > 0, pre, 0), NaN and -0.0 included; out > 0
         # then equals pre > 0 everywhere, so backward reads the mask from out
@@ -376,13 +406,42 @@ def pointwise_conv(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
 
     def backprop(g, accum):
         gm = g * (out > 0) if relu else g
-        if any(p.requires_grad for p in parts):
-            _split_columns(gm @ wv.T, parts, accum)
-        if weight.requires_grad:
-            accum(weight, xv.T @ gm)
         accum(bias, _unbroadcast(gm, bias.shape))
+        if scale is not None:
+            if keep:
+                accum(scale, (gm * z).sum(axis=1, keepdims=True))
+            gm = gm * scale.values
+        gw = None
+        for p, t, blocks, w in terms:
+            gy = _unbroadcast(gm, (t.shape[0] if p is None else p.shape[0], gm.shape[1]))
+            if p is not None:
+                gy = p.T @ gy
+            if t.requires_grad:
+                accum(t, gy @ w.T)
+            if not weight.requires_grad:
+                continue
+            gt = t.values.T @ gy
+            if len(terms) == 1 and blocks == [slice(None)]:
+                gw = gt
+                continue
+            if gw is None:
+                gw = np.zeros_like(weight.values)
+            for rows in blocks:
+                gw[rows] += gt
+        if gw is not None:
+            accum(weight, gw)
 
-    return _make(out, parts + (weight, bias), backprop)
+    return _make(out, parents, backprop)
+
+
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """The logistic function, taking ``exp`` of non-positive arguments only."""
+    s = np.empty_like(v)
+    pos = v >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    s[~pos] = ev / (1.0 + ev)
+    return s
 
 
 def gate(a: Tensor, b: Tensor) -> Tensor:
@@ -390,19 +449,40 @@ def gate(a: Tensor, b: Tensor) -> Tensor:
     gradients equal those of concat, reduce_mean over axis 1, sigmoid and mul
     bit for bit. Without a recorded graph the product is written into the
     fresh concatenation, which backward would otherwise read."""
-    cat = _columns((a, b), "gate")
-    v = cat.mean(axis=1, keepdims=True)
-    s = np.empty_like(v)
-    pos = v >= 0  # exp of a non-positive argument only, either side
-    s[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    s[~pos] = ev / (1.0 + ev)
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise DimensionError(f"gate needs 2-D operands with equal row counts, "
+                             f"got {a.shape} and {b.shape}")
+    cat = np.concatenate([a.values, b.values], axis=1)
+    s = _sigmoid(cat.mean(axis=1, keepdims=True))
+    k = a.shape[1]
 
     def backprop(g, accum):
         gs = (g * cat).sum(axis=1, keepdims=True)
-        _split_columns(g * s + gs * s * (1.0 - s) / cat.shape[1], (a, b), accum)
+        gc = g * s + gs * s * (1.0 - s) / cat.shape[1]
+        accum(a, gc[:, :k])
+        accum(b, gc[:, k:])
 
     return _make(np.multiply(cat, s, out=None if _tracks((a, b)) else cat), (a, b), backprop)
+
+
+def gate_scale(a: Tensor, b: Tensor) -> Tensor:
+    """The per-row factor ``sigmoid(row mean of [a, a + b])`` by which
+    ``gate(a, add(a, b))`` scales its rows, as one (N, 1) node that builds
+    neither ``a + b`` nor the concatenation: over a's W columns the row mean
+    is ``(2·Σa + Σb) / 2W``. ``b`` has a's shape or is one row added to
+    every row of ``a``."""
+    if a.values.ndim != 2 or b.shape not in (a.shape, (1, a.shape[1])):
+        raise DimensionError(f"gate_scale needs b of shape {a.shape} or one row, got {b.shape}")
+    width = 2 * a.shape[1]
+    s = _sigmoid((2 * a.values.sum(axis=1, keepdims=True)
+                  + b.values.sum(axis=1, keepdims=True)) / width)
+
+    def backprop(g, accum):
+        gv = g * s * (1.0 - s) / width  # (N, 1): d(loss)/d(row sum) of [a, a + b]
+        accum(a, np.broadcast_to(gv + gv, a.shape))
+        accum(b, _unbroadcast(np.broadcast_to(gv, a.shape), b.shape))
+
+    return _make(s, (a, b), backprop)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

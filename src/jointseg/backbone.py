@@ -7,8 +7,13 @@ per group) and a head to a coarse level of 512-wide features. Two
 structurally identical but independently parameterized decoders of three
 convolutions each upsample back to full resolution with
 inverse-square-distance interpolation over 3 nearest neighbors plus skip
-connections, each exposing its last three layer outputs for feature fusion
-(the mid one as the full-resolution product that its last layer consumes).
+connections, each exposing its last three layer outputs, every one at its
+own resolution, for feature fusion.
+
+Interpolation and convolution are linear before the ReLU, so each decoder
+layer projects the coarser level first and interpolates the narrow product:
+``[skip, P @ x] · W = skip · W_top + P @ (x · W_bot)`` in one
+``ad.pointwise_conv`` node.
 
 All point selections and interpolation weights depend only on coordinates,
 never on parameters, so ``Backbone.compute_geometry`` precomputes them from
@@ -16,8 +21,10 @@ the ``LayerSpec`` into a ``BlockGeometry`` that a training loop can cache
 across iterations. The selections are exact, with distance ties going to
 the lowest point index as under a stable sort, yet no row of distances is
 fully sorted (see ``ball_group`` and ``nearest_neighbor_interpolation``).
-Each level's point-to-center distances are computed once, by farthest-point
-sampling, and read by its grouping and its interpolation matrices.
+Farthest-point sampling runs once per block: it is prefix-consistent, so
+the deeper levels' centers are the first centers of level 1, and every
+level's point-to-center distances are rows and columns of the one (m, N)
+matrix that sampling computes.
 """
 
 from __future__ import annotations
@@ -60,14 +67,13 @@ class LayerSpec:
 
 @dataclass
 class DecoderFeatures:
-    """Last three decoder layer outputs.
+    """Last three decoder layer outputs, each at its own level.
 
-    full: (N_a, 128); mid_up: (N_a, 128), the mid level (N_b points)
-    interpolated to full resolution; coarse: (N_c, 256).
+    full: (N_a, 128); mid: (N_b, 128); coarse: (N_c, 256).
     """
 
     full: ad.Tensor
-    mid_up: ad.Tensor
+    mid: ad.Tensor
     coarse: ad.Tensor
 
 
@@ -215,6 +221,14 @@ class BlockGeometry:
 # ---------------------------------------------------------------------------
 # layers
 
+def beside(skip: ad.Tensor, x: ad.Tensor, mat: ad.Tensor | None = None) -> list[tuple]:
+    """Convolution terms for the columns of ``skip`` beside those of ``x``,
+    or of ``mat @ x`` given an interpolation matrix: ``skip`` takes the
+    weight's first rows and ``x`` the rest."""
+    k = skip.shape[1]
+    return [(skip, slice(0, k)), (x, slice(k, None)) if mat is None else (mat, x, slice(k, None))]
+
+
 class Encoder:
     """Three downsample-group-summarize levels, each a pair of shared
     convolutions, and a head to 512 channels."""
@@ -235,8 +249,7 @@ class Encoder:
         for (conv1, conv2), idx, rel, scale in zip(self.levels, geo.sa_indices, geo.sa_rel,
                                                    geo.sa_scale):
             grouped = ad.gather_rows(h, idx.ravel())  # (m*ns, C)
-            parts = (rel, grouped) if scale is None else (ad.mul(rel, scale), ad.mul(grouped, scale))
-            h = ad.rowmax_pool(conv2(conv1(parts)), idx.shape[1])
+            h = ad.rowmax_pool(conv2(conv1(beside(rel, grouped), scale)), idx.shape[1])
             skips.append(h)
         return self.head(h), skips
 
@@ -246,7 +259,8 @@ class Encoder:
 
 class Decoder:
     """Three upsampling layers from the coarse level back to full resolution,
-    each a convolution over skip features beside the interpolated level."""
+    each a convolution over skip features beside the interpolated level,
+    which it projects before interpolating."""
 
     def __init__(self, name: str, spec: LayerSpec, rng, dtype):
         w_c, w_b, w_a = DECODER_WIDTHS
@@ -257,11 +271,10 @@ class Decoder:
 
     def apply(self, encoded: ad.Tensor, skips, geo: BlockGeometry) -> DecoderFeatures:
         # skips: [input, sa1, sa2, sa3]; geo.levels: [a, b, c, e]
-        f_c = self.fp_coarse((skips[2], ad.matmul(geo.fp_mats[0], encoded)))
-        f_b = self.fp_mid((skips[1], ad.matmul(geo.fp_mats[1], f_c)))
-        mid_up = ad.matmul(geo.fp_mats[2], f_b)
-        f_a = self.fp_full((skips[0], mid_up))
-        return DecoderFeatures(full=f_a, mid_up=mid_up, coarse=f_c)
+        f_c = self.fp_coarse(beside(skips[2], encoded, geo.fp_mats[0]))
+        f_b = self.fp_mid(beside(skips[1], f_c, geo.fp_mats[1]))
+        f_a = self.fp_full(beside(skips[0], f_b, geo.fp_mats[2]))
+        return DecoderFeatures(full=f_a, mid=f_b, coarse=f_c)
 
     def parameters(self):
         return collect_parameters([self.fp_coarse, self.fp_mid, self.fp_full])
@@ -279,36 +292,46 @@ class Backbone:
         self.instance_decoder = Decoder("instance_decoder", spec, rng, dtype)
 
     def compute_geometry(self, coords: np.ndarray) -> BlockGeometry:
-        """Per encoder level: farthest-point centers and their distances to
-        the level's points, the centers' ball neighborhoods, relative neighbor
+        """Per encoder level: centers and their distances to the level's
+        points, the centers' ball neighborhoods, relative neighbor
         coordinates and, with ``density_reweight``, inverse density scales;
-        then the decoder's interpolation matrices from the same distances."""
-        levels = [np.asarray(coords, dtype=np.float64)]
-        picks, dists, sa_indices, sa_rel, sa_scale = [], [], [], [], []
+        then the decoder's interpolation matrices from the same distances.
+
+        Farthest-point sampling runs once, over the block's points. Over
+        level 1's centers it would pick them in order: each was the farthest
+        point from the picks before it (lowest index on ties), so also the
+        farthest center, and earlier centers lie at distance 0 from the
+        picks. Once every point lies at distance 0 it picks index 0, whose
+        coordinates the repeated center has. So deeper levels are prefixes of
+        level 1's centers, equal in bits to sampling them again, and their
+        distances are column gathers of level 0's rows."""
         spec = self.spec
-        for npoint, radius, nsample in zip(spec.npoints, spec.radii, spec.nsamples):
-            cur = levels[-1]
-            chosen, d = farthest_point_sampling(cur, npoint)  # d: (m, N) center to point
-            centers = cur[chosen]
+        pts = np.asarray(coords, dtype=np.float64)
+        picks, d0 = farthest_point_sampling(pts, spec.npoints[0])  # (m1, N) center to point
+        centers = pts[picks]
+        levels = [pts, centers] + [centers[:m] for m in spec.npoints[1:]]
+        # level i's (m_i, m_{i-1}) distances; level 1's points are level 0's at picks
+        cols = [slice(None), picks, picks[:spec.npoints[1]]]
+        dists = [d0[:m][:, c] for m, c in zip(spec.npoints, cols)]
+        sa_indices, sa_rel, sa_scale = [], [], []
+        for cur, ctr, d, radius, nsample in zip(levels, levels[1:], dists, spec.radii,
+                                                spec.nsamples):
             idx = ball_group(d, radius, nsample)  # (m, ns)
-            rel = cur[idx] - centers[:, None, :]
+            rel = cur[idx] - ctr[:, None, :]
             sa_indices.append(idx)
             sa_rel.append(ad.Tensor(rel.reshape(-1, 3).astype(self.dtype)))
             sa_scale.append(ad.Tensor(_inverse_density_scale(cur, idx, radius / 2)
                                       .reshape(-1, 1).astype(self.dtype))
                             if spec.density_reweight else None)
-            levels.append(centers)
-            picks.append(chosen)
-            dists.append(d)
 
         def mat(d):
             return ad.Tensor(interpolation_matrix(d, self.dtype))
 
-        # level 2's points are the level-1 points picks[1], so their distances to
-        # level 0 are those rows of level 0's distances
+        # level 2's points are level 1's first ones, so their distances to
+        # level 0 are the first rows of level 0's distances
         return BlockGeometry(levels=levels, sa_indices=sa_indices, sa_rel=sa_rel,
                              sa_scale=sa_scale, fp_mats=[mat(d) for d in dists[::-1]],
-                             fusion_coarse=mat(dists[0][picks[1]]))
+                             fusion_coarse=mat(d0[:spec.npoints[1]]))
 
     def apply(self, feats: ad.Tensor, geo: BlockGeometry) -> tuple[DecoderFeatures, DecoderFeatures]:
         encoded, skips = self.encoder.apply(feats, geo)

@@ -268,15 +268,17 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Index of each point's nearest centre by the direct distance
     ``((centres - p) ** 2).sum(1)``; exact ties go to the lowest index.
 
-    The centres are sorted once along their widest axis. A leaf of points is
-    compared only with its candidates: the centres inside its bounding box
-    widened by a radius R on every side, found by two ``searchsorted`` on the
-    sorted axis and a box mask, in ascending index order; a box that holds no
-    centre takes them all. The points are cut by median splits along the
-    widest side of their box while a node has more than one row and its rows
-    times its candidates, counted as their slab on the sorted axis or as all
-    centres, exceed ``_NEAREST_CELLS``. So a leaf's temporaries hold at most
-    that many elements, or one row against every centre.
+    A leaf of points is compared only with its candidates: the centres
+    inside its bounding box widened by a radius R on every side, in ascending
+    index order. A box that holds every centre takes them all as they are;
+    otherwise two ``searchsorted`` on the centres sorted along their widest
+    axis (sorted once, on first need) and a box mask find them, and a box
+    that holds no centre takes them all. The points are cut by median splits
+    along the widest side of their box while a node has more than one row
+    and its rows times its candidates, counted as their slab on the sorted
+    axis or as all centres, exceed ``_NEAREST_CELLS``. So a leaf's
+    temporaries hold at most that many elements, or one row against every
+    centre.
 
     Among the candidates g = d² − ‖p‖² is expanded as ‖c‖² − 2·p·cᵀ on
     coordinates centred on the mean of all centres, so a leaf costs one GEMM.
@@ -306,19 +308,26 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     c_sq = (c ** 2).sum(axis=1)
     c_sq_max = c_sq.max()
     rhs = np.vstack([-2.0 * c.T, c_sq])  # (K + 1, L): [p, 1] @ rhs = ‖c‖² − 2·p·cᵀ
-    axis = int(np.ptp(centres, axis=0).argmax())
-    order = np.argsort(centres[:, axis], kind="stable")
-    by_axis = centres[order]
     everything = np.arange(len(centres))
-    sorted_axis = by_axis[:, axis].copy()
+    c_lo, c_hi = centres.min(axis=0), centres.max(axis=0)
+    index = None  # the centres sorted along their widest axis, made on first use
 
     def candidates(lo, hi, rows):
         """The centres in the box [lo, hi] in index order, or every centre if
         it holds none; None if they break the budget for ``rows`` > 1 rows,
-        counted as the width of their slab on the sorted axis."""
+        counted as the width of their slab on the sorted axis. A box around
+        every centre takes them all with no sort, search or mask."""
+        nonlocal index
+        cap = _NEAREST_CELLS / rows if rows > 1 else np.inf
+        if (lo <= c_lo).all() and (hi >= c_hi).all():
+            return everything if len(centres) <= cap else None
+        if index is None:
+            axis = int((c_hi - c_lo).argmax())
+            order = np.argsort(centres[:, axis], kind="stable")
+            index = axis, order, centres[order], centres[order, axis]
+        axis, order, by_axis, sorted_axis = index
         s = np.searchsorted(sorted_axis, lo[axis], side="left")
         e = np.searchsorted(sorted_axis, hi[axis], side="right")
-        cap = _NEAREST_CELLS / rows if rows > 1 else np.inf
         if e - s > cap:
             return None
         inside = ((by_axis[s:e] >= lo) & (by_axis[s:e] <= hi)).all(axis=1)

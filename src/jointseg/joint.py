@@ -7,7 +7,11 @@ sigmoid of its feature mean (one ``ad.gate`` node), and maps it to a K-dim
 embedding. The semantic branch aggregates the gated instance features into
 one global context row (convolution, then mean over points), adds it to
 every row of the semantic features by broadcasting, gates in the same way,
-and maps to class logits.
+and maps to class logits. Its first layer takes the gated
+``[f, f + c] · s`` by linearity, as
+``s ⊙ (f · (W_top + W_bot) + c · W_bot)`` in one ``ad.pointwise_conv`` node
+with the gate ``s`` (one ``ad.gate_scale`` node) as its per-row scale, so it
+builds neither the sum nor the (N, 2W) concatenation.
 
 Either cross-injection can be disabled: with instance fusion off the
 semantic-to-instance transform is replaced by zero, with semantic fusion off
@@ -32,7 +36,7 @@ class JointHeadFeatures:
     ins_fused: ad.Tensor       # (N, W)   instance features + transform
     ins_gated: ad.Tensor       # (N, 2W)  gated [instance, fused] features
     ins_context: ad.Tensor     # (1, W)   global instance context
-    sem_gated: ad.Tensor       # (N, 2W)  gated [semantic, context-fused]
+    sem_gate: ad.Tensor        # (N, 1)   gate of [semantic, context-fused]
     embeddings: ad.Tensor      # (N, K)
     logits: ad.Tensor          # (N, C)
 
@@ -85,13 +89,13 @@ class JointSegmentationHead:
         """Instance-aware class logits from the gated instance features."""
         if self.semantic_fusion:
             context = ad.reduce_mean(self.ins_to_sem(ins_gated), axis=0)  # (1, W)
-            fused = ad.add(f_sem, context)
         else:
             context = ad.Tensor(np.zeros_like(f_sem.values[:1]))
-            fused = f_sem
-        gated = ad.gate(f_sem, fused)                                  # (N, 2W)
-        logits = self.sem_head2(self.sem_head1(gated))
-        return logits, {"ins_context": context, "sem_gated": gated}
+        w = self.width
+        top, bot = slice(0, w), slice(w, 2 * w)
+        gate = ad.gate_scale(f_sem, context)                           # (N, 1)
+        h = self.sem_head1([(f_sem, top), (f_sem, bot), (context, bot)], gate)
+        return self.sem_head2(h), {"ins_context": context, "sem_gate": gate}
 
     def __call__(self, f_sem: ad.Tensor, f_ins: ad.Tensor) -> JointHeadFeatures:
         emb, ins_gated, a = self.instance_branch(f_sem, f_ins)

@@ -11,7 +11,8 @@ class Conv1x1:
     """A kernel-size-1 convolution: per-point affine map plus activation.
 
     Owns a (cin, cout) weight and a (1, cout) bias as named parameters. The
-    input is one tensor or a tuple whose columns are taken in order.
+    input is one tensor or a sequence of terms bound to row blocks of the
+    weight, with an optional per-row scale (see ``ad.pointwise_conv``).
     """
 
     def __init__(self, name: str, cin: int, cout: int, rng: np.random.Generator,
@@ -22,8 +23,8 @@ class Conv1x1:
                                    ad.he_uniform((cin, cout), fan_in=cin, rng=rng, dtype=dtype))
         self.bias = ad.Parameter(f"{name}.bias", np.zeros((1, cout), dtype=dtype))
 
-    def __call__(self, x: ad.Tensor | tuple[ad.Tensor, ...]) -> ad.Tensor:
-        return ad.pointwise_conv(x, self.weight, self.bias, self.activation)
+    def __call__(self, x, scale: ad.Tensor | None = None) -> ad.Tensor:
+        return ad.pointwise_conv(x, self.weight, self.bias, self.activation, scale)
 
     def parameters(self) -> list[ad.Parameter]:
         return [self.weight, self.bias]

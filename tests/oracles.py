@@ -6,6 +6,8 @@ scans) so it shares no code path with the implementations under test.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from jointseg import autodiff as ad
@@ -417,9 +419,13 @@ def nearest_full_scan(points: np.ndarray, centres: np.ndarray, rows: int = 16,
 # general primitives the package no longer calls
 #
 # The fused nodes (``ad.pointwise_conv``, ``ad.l1_hinge_squared``,
-# ``ad.gate`` and ``ad.add`` of a tuple) replaced these in the package; the
+# ``ad.gate`` and ``ad.gate_scale``) replaced these in the package; the
 # references below compose them, and tests use ``reduce_sum`` to reduce
-# outputs to a scalar.
+# outputs to a scalar. ``add_columns`` and ``pointwise_conv_columns`` are
+# the sum and the convolution over a tuple of inputs that concatenate their
+# columns inside the node, which the network used before it took its layer
+# inputs by linearity; the references of the network's forward below use
+# them.
 
 def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     ad._check_broadcast(a.shape, b.shape)
@@ -512,6 +518,61 @@ def reduce_sum(x: ad.Tensor, axis: int | None = None) -> ad.Tensor:
     return ad._make(out, (x,), backprop)
 
 
+def _columns(parts: tuple[ad.Tensor, ...], op: str) -> np.ndarray:
+    """Column-wise concatenation of 2-D operands; one operand is used as is."""
+    if any(p.values.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ad.DimensionError(f"{op} needs 2-D operands with equal row counts, "
+                                f"got {[p.shape for p in parts]}")
+    return parts[0].values if len(parts) == 1 else np.concatenate([p.values for p in parts], axis=1)
+
+
+def _split_columns(g: np.ndarray, parts: tuple[ad.Tensor, ...], accum) -> None:
+    """Backward of ``_columns``: each operand takes its column view of g, in order."""
+    for p, stop in zip(parts, itertools.accumulate(p.shape[1] for p in parts)):
+        accum(p, g[:, stop - p.shape[1]:stop])
+
+
+def add_columns(parts: tuple[ad.Tensor, ...], b: ad.Tensor) -> ad.Tensor:
+    """``add(concat(parts), b)`` as one node, the sum written into the fresh
+    concatenation when it has its shape and dtype; values and gradients equal
+    the composition bit for bit."""
+    av = _columns(parts, "add")
+    ad._check_broadcast(av.shape, b.shape)
+    shape = av.shape
+
+    def backprop(g, accum):
+        _split_columns(ad._unbroadcast(g, shape), parts, accum)
+        accum(b, ad._unbroadcast(g, b.shape))
+
+    out = ad._into(np.add, av, b.values) if len(parts) > 1 else av + b.values
+    return ad._make(out, parts + (b,), backprop)
+
+
+def pointwise_conv_columns(parts: tuple[ad.Tensor, ...], weight: ad.Tensor, bias: ad.Tensor,
+                           activation: str = "relu") -> ad.Tensor:
+    """``ad.pointwise_conv(concat(parts), W, b)`` as one node over the
+    concatenation built inside it; values and gradients equal the
+    composition bit for bit."""
+    xv, wv = _columns(parts, "pointwise_conv"), weight.values
+    if wv.ndim != 2 or xv.shape[1] != weight.shape[0]:
+        raise ad.DimensionError(f"channel mismatch: input {xv.shape} vs weight {weight.shape}")
+    ad._check_broadcast((xv.shape[0], weight.shape[1]), bias.shape)
+    relu = activation == "relu"
+    out = ad._into(np.add, xv @ wv, bias.values)
+    if relu:
+        np.fmax(out, 0, out=out)
+
+    def backprop(g, accum):
+        gm = g * (out > 0) if relu else g
+        if any(p.requires_grad for p in parts):
+            _split_columns(gm @ wv.T, parts, accum)
+        if weight.requires_grad:
+            accum(weight, xv.T @ gm)
+        accum(bias, ad._unbroadcast(gm, bias.shape))
+
+    return ad._make(out, parts + (weight, bias), backprop)
+
+
 # ---------------------------------------------------------------------------
 # unfused 1x1 convolution, gate and L1 hinge references
 
@@ -539,6 +600,77 @@ def l1_hinge_squared_unfused(a: ad.Tensor, b: ad.Tensor, margin: float,
     gap = add_scalar(reduce_sum(absolute(sub(a, b)), axis=1), -margin)
     h = relu(neg(gap) if below else gap)
     return ad.mul(h, h)
+
+
+# ---------------------------------------------------------------------------
+# the network's forward over explicit concatenations
+#
+# The package maps every concatenated or upsampled layer input by linearity
+# (``ad.pointwise_conv`` terms) and gates the semantic head's input by
+# ``ad.gate_scale``. The references below build each input instead, as the
+# network did before: a decoder layer upsamples its coarser level (matmul)
+# and convolves it beside its skip features (tuple conv); a fusion head adds
+# the upsampled coarse level to [full, upsampled mid] (tuple add) before its
+# conv; the semantic head gates [f, f + c] (add, gate) before its first
+# conv. The package must equal them to rounding, in values and float64
+# gradients.
+
+def conv_columns(conv, parts: tuple[ad.Tensor, ...]) -> ad.Tensor:
+    """A ``Conv1x1`` layer over the concatenated columns of ``parts``."""
+    return pointwise_conv_columns(parts, conv.weight, conv.bias, conv.activation)
+
+
+def encoder_concat(encoder, x: ad.Tensor, geo: BlockGeometry):
+    """``Encoder.apply`` with each first convolution over [rel, grouped]."""
+    skips, h = [x], x
+    for (conv1, conv2), idx, rel, scale in zip(encoder.levels, geo.sa_indices, geo.sa_rel,
+                                               geo.sa_scale):
+        grouped = ad.gather_rows(h, idx.ravel())
+        parts = (rel, grouped) if scale is None else (ad.mul(rel, scale), ad.mul(grouped, scale))
+        h = ad.rowmax_pool(conv2(conv_columns(conv1, parts)), idx.shape[1])
+        skips.append(h)
+    return encoder.head(h), skips
+
+
+def decoder_concat(decoder, encoded: ad.Tensor, skips, geo: BlockGeometry):
+    """``Decoder.apply`` over upsampled levels: (full, mid_up, coarse), with
+    the mid level interpolated to full resolution."""
+    f_c = conv_columns(decoder.fp_coarse, (skips[2], ad.matmul(geo.fp_mats[0], encoded)))
+    f_b = conv_columns(decoder.fp_mid, (skips[1], ad.matmul(geo.fp_mats[1], f_c)))
+    mid_up = ad.matmul(geo.fp_mats[2], f_b)
+    return conv_columns(decoder.fp_full, (skips[0], mid_up)), mid_up, f_c
+
+
+def fusion_concat(fusion, full: ad.Tensor, mid_up: ad.Tensor, coarse: ad.Tensor,
+                  coarse_mat: ad.Tensor) -> ad.Tensor:
+    """``FeatureFusion.apply``: conv([full, mid_up] + coarse_mat @ coarse)."""
+    return fusion.conv(add_columns((full, mid_up), ad.matmul(coarse_mat, coarse)))
+
+
+def semantic_branch_concat(head, f_sem: ad.Tensor, ins_gated: ad.Tensor) -> ad.Tensor:
+    """The logits of ``JointSegmentationHead.semantic_branch`` from the gated
+    (N, 2W) ``[f_sem, f_sem + context]``."""
+    if head.semantic_fusion:
+        fused = ad.add(f_sem, ad.reduce_mean(head.ins_to_sem(ins_gated), axis=0))
+    else:
+        fused = f_sem
+    return head.sem_head2(head.sem_head1(ad.gate(f_sem, fused)))
+
+
+def network_forward_concat(network, features: np.ndarray, geo: BlockGeometry):
+    """(logits, embeddings) of ``SegmentationNetwork.forward`` composed from
+    the references above."""
+    x = ad.Tensor(np.asarray(features).astype(network.dtype))
+    bb = network.backbone
+    encoded, skips = encoder_concat(bb.encoder, x, geo)
+    feats = []
+    for decoder, fusion in ((bb.semantic_decoder, network.fusion_sem),
+                            (bb.instance_decoder, network.fusion_ins)):
+        full, mid_up, coarse = decoder_concat(decoder, encoded, skips, geo)
+        feats.append(fusion_concat(fusion, full, mid_up, coarse, geo.fusion_coarse)
+                     if network.use_fusion else full)
+    embeddings, ins_gated, _ = network.head.instance_branch(*feats)
+    return semantic_branch_concat(network.head, feats[0], ins_gated), embeddings
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 
 from jointseg import autodiff as ad
 from jointseg.layers import Conv1x1
-from oracles import (absolute, add_scalar, concat, fd_grad, gate_unfused,
-                     l1_hinge_squared_unfused, max_rel_err, neg, pointwise_conv_unfused,
-                     reduce_sum, relu, sigmoid, sub)
+from oracles import (absolute, add_columns, add_scalar, concat, fd_grad, gate_unfused,
+                     l1_hinge_squared_unfused, max_rel_err, neg, pointwise_conv_columns,
+                     pointwise_conv_unfused, reduce_sum, relu, sigmoid, sub)
 
 
 def scalar_loss(out: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
@@ -180,8 +180,9 @@ def test_pointwise_conv_relu_keeps_the_bits_of_where_on_special_values(dtype):
 @pytest.mark.parametrize("activation", ["relu", "none"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_tuple_pointwise_conv_equals_concat_then_conv(activation, dtype):
-    # three inputs; the first carries no gradient, as the relative
-    # coordinates of a set-abstraction layer do
+    # the oracle's tuple conv, which the concatenating network reference
+    # uses; three inputs, the first without gradient, as the relative
+    # coordinates of a set-abstraction layer
     x0, w0, b0 = conv_case(dtype)
     cols = ((0, 1), (1, 4), (4, 6))
     probe = np.random.default_rng(1).standard_normal((40, 5)).astype(dtype)
@@ -190,7 +191,8 @@ def test_tuple_pointwise_conv_equals_concat_then_conv(activation, dtype):
         xs = [ad.Tensor(x0[:, i:j], requires_grad=k > 0) for k, (i, j) in enumerate(cols)]
         w, b = ad.Tensor(w0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
         x = tuple(xs) if fused else concat(concat(xs[0], xs[1]), xs[2])
-        out = ad.pointwise_conv(x, w, b, activation)
+        out = pointwise_conv_columns(x, w, b, activation) if fused \
+            else ad.pointwise_conv(x, w, b, activation)
         assert (out._parents == (*xs, w, b)) == fused
         ad.backward(scalar_loss(out, probe))
         results.append((out.values, w.grad, b.grad) + tuple(t.grad for t in xs))
@@ -201,15 +203,117 @@ def test_tuple_pointwise_conv_equals_concat_then_conv(activation, dtype):
         assert got is want is None or np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("activation", ["relu", "none"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_terms_on_row_blocks_equal_concat_then_conv(activation, dtype):
+    # three operands on consecutive row blocks; the first carries no
+    # gradient, as the relative coordinates of a set-abstraction layer do.
+    # The split products round differently from the one over the
+    # concatenation, so they agree to a few units of the dtype's rounding.
+    x0, w0, b0 = conv_case(dtype)
+    cols = ((0, 1), (1, 4), (4, 6))
+    probe = np.random.default_rng(1).standard_normal((40, 5)).astype(dtype)
+    results = []
+    for terms in (True, False):
+        xs = [ad.Tensor(x0[:, i:j], requires_grad=k > 0) for k, (i, j) in enumerate(cols)]
+        w, b = ad.Tensor(w0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+        x = [(t, slice(i, j)) for t, (i, j) in zip(xs, cols)] if terms \
+            else concat(concat(xs[0], xs[1]), xs[2])
+        out = ad.pointwise_conv(x, w, b, activation)
+        assert (out._parents == (*xs, w, b)) == terms
+        ad.backward(scalar_loss(out, probe))
+        results.append((out.values, w.grad, b.grad) + tuple(t.grad for t in xs))
+    split, whole = results
+    assert split[0].dtype == whole[0].dtype == dtype and split[3] is None
+    assert [g.shape for g in split[4:]] == [(40, 3), (40, 2)]
+    tol = 1e-5 if dtype == np.float32 else 1e-13
+    for got, want in zip(split, whole):
+        assert got is want is None or (got.dtype == want.dtype and max_rel_err(got, want) < tol)
+
+
 def test_tuple_pointwise_conv_checks_row_counts_and_channels():
     w, b = ad.Tensor(np.zeros((5, 2))), ad.Tensor(np.zeros((1, 2)))
     with pytest.raises(ad.DimensionError, match="equal row counts"):
-        ad.pointwise_conv((ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((3, 2)))), w, b)
+        pointwise_conv_columns((ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((3, 2)))), w, b)
     with pytest.raises(ad.DimensionError, match=r"\(4, 4\).*\(5, 2\)"):
-        ad.pointwise_conv((ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((4, 1)))), w, b)
+        pointwise_conv_columns((ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((4, 1)))), w, b)
     x = ad.Tensor(np.ones((4, 5)))
-    out = ad.pointwise_conv((x,), ad.Tensor(np.ones((5, 2))), b, "none")
+    out = pointwise_conv_columns((x,), ad.Tensor(np.ones((5, 2))), b, "none")
     assert np.array_equal(out.values, np.full((4, 2), 5.0))
+
+
+def test_conv_terms_check_row_counts_channels_and_shapes():
+    w, b = ad.Tensor(np.zeros((5, 2))), ad.Tensor(np.zeros((1, 2)))
+    top, bot = slice(0, 3), slice(3, None)
+    a = ad.Tensor(np.zeros((4, 3)))
+    with pytest.raises(ad.DimensionError, match="equal row counts"):
+        ad.pointwise_conv([(a, top), (ad.Tensor(np.zeros((3, 2))), bot)], w, b)
+    with pytest.raises(ad.DimensionError, match="equal row counts"):
+        ad.pointwise_conv([(a, top), (ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))),
+                                      bot)], w, b)
+    with pytest.raises(ad.DimensionError, match=r"\(4, 1\).*\(5, 2\)"):
+        ad.pointwise_conv([(a, top), (ad.Tensor(np.zeros((4, 1))), bot)], w, b)
+    with pytest.raises(ad.DimensionError, match=r"\(4, 3\).*\(5, 2\)"):
+        ad.pointwise_conv(a, w, b)
+    with pytest.raises(ad.DimensionError, match="3 columns"):
+        ad.pointwise_conv([(a, top), (ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros((3, 2))),
+                                      bot)], w, b)
+    with pytest.raises(ad.DimensionError, match="constant"):  # gradients do not reach P
+        ad.pointwise_conv([(ad.Tensor(np.eye(3), requires_grad=True), a, top),
+                           (ad.Tensor(np.zeros((3, 2))), bot)], w, b)
+    with pytest.raises(ad.DimensionError, match=r"scale must be \(4, 1\)"):
+        ad.pointwise_conv([(a, top), (ad.Tensor(np.zeros((4, 2))), bot)], w, b,
+                          scale=ad.Tensor(np.ones((1, 1))))
+    for c in (np.zeros((4, 4)), np.zeros((2, 2)), np.zeros((1, 1)), np.zeros(2)):
+        with pytest.raises(ad.DimensionError, match="broadcastable"):
+            ad.pointwise_conv([(a, top), (ad.Tensor(np.zeros((4, 2))), bot)], w, ad.Tensor(c))
+    x = ad.Tensor(np.ones((4, 5)))
+    for x_arg in (x, [(x, slice(None))], [(x, slice(0, 5))]):
+        out = ad.pointwise_conv(x_arg, ad.Tensor(np.ones((5, 2))), b, "none")
+        assert np.array_equal(out.values, np.full((4, 2), 5.0))
+    # a one-row term is added to every row; so is a one-row P term
+    ones = ad.Tensor(np.ones((4, 3)))
+    for term, want in (((ad.Tensor([[0.0, 1.0]]), bot), 4.0),
+                       ((ad.Tensor(np.ones((1, 3))), ad.Tensor(np.ones((3, 2))), bot), 9.0)):
+        out = ad.pointwise_conv([(ones, top), term], ad.Tensor(np.ones((5, 2))), b, "none")
+        assert np.array_equal(out.values, np.full((4, 2), want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_terms_equal_their_explicit_composition(dtype):
+    # relu(s ⊙ (a·W[0:3] + P @ (c·W[3:5]) + a·W[2:5] + r·W[0:3]) + b): a plain
+    # term, a (P, x) term, a shared operand on a second row block, a one-row
+    # term and a per-row scale, against the product of each input built
+    # explicitly; the shared operand's row blocks overlap
+    rng = np.random.default_rng(13)
+    a0, c0, r0 = (rng.standard_normal(s).astype(dtype) for s in ((6, 3), (4, 2), (1, 3)))
+    p0 = rng.uniform(0, 1, (6, 4)).astype(dtype)
+    w0, b0 = rng.standard_normal((5, 4)).astype(dtype), rng.standard_normal((1, 4)).astype(dtype)
+    s0 = rng.uniform(0.1, 1, (6, 1)).astype(dtype)
+    probe = rng.standard_normal((6, 4)).astype(dtype)
+    results = []
+    for terms in (True, False):
+        a, c, r, w, b, s = (ad.Tensor(v, requires_grad=True) for v in (a0, c0, r0, w0, b0, s0))
+        p = ad.Tensor(p0)
+        if terms:
+            out = ad.pointwise_conv([(a, slice(0, 3)), (p, c, slice(3, 5)), (a, slice(2, 5)),
+                                     (r, slice(0, 3))], w, b, "relu", scale=s)
+            assert out._parents == (a, c, r, w, b, s)
+        else:
+            w_rows = [ad.gather_rows(ad.Tensor(np.eye(5, dtype=dtype)), rows) for rows in
+                      (np.arange(3), np.arange(3, 5), np.arange(2, 5))]
+            blocks = [ad.matmul(m, w) for m in w_rows]
+            pre = ad.add(ad.add(ad.add(ad.matmul(a, blocks[0]),
+                                       ad.matmul(ad.matmul(p, c), blocks[1])),
+                                ad.matmul(a, blocks[2])), ad.matmul(r, blocks[0]))
+            out = relu(ad.add(ad.mul(pre, s), b))
+        ad.backward(scalar_loss(out, probe))
+        results.append((out.values,) + tuple(t.grad for t in (a, c, r, w, b, s)))
+    tol = 1e-5 if dtype == np.float32 else 1e-13
+    assert (results[0][0] > 0).any() and (results[0][0] == 0).any()
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert max_rel_err(got, want) < tol
 
 
 def test_conv1x1_output_is_one_node():
@@ -263,6 +367,36 @@ def test_gate_is_one_node_and_checks_shapes():
     assert np.allclose(out.values, [[s, -s, 3 * s]], rtol=1e-15, atol=0)
     with pytest.raises(ad.DimensionError, match="equal row counts"):
         ad.gate(a, ad.Tensor(np.zeros((2, 1))))
+
+
+@pytest.mark.parametrize("b_rows", [44, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gate_scale_is_the_gate_of_a_beside_a_plus_b(dtype, b_rows):
+    # the semantic head gates [f, f + context] with a one-row context; its
+    # row sums are summed in another order, so values agree to rounding
+    a0, b0 = gate_case(dtype)
+    b0 = b0[:b_rows, :3]
+    probe = np.random.default_rng(1).standard_normal((44, 1)).astype(dtype)
+    results = []
+    for fused in (True, False):
+        a, b = ad.Tensor(a0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+        if fused:
+            out = ad.gate_scale(a, b)
+            assert out._parents == (a, b)
+        else:
+            out = sigmoid(ad.reduce_mean(concat(a, ad.add(a, b)), axis=1))
+        ad.backward(scalar_loss(out, probe))
+        results.append((out.values, a.grad, b.grad))
+    tol = 1e-6 if dtype == np.float32 else 1e-14
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert max_rel_err(got, want) < tol
+    # the scale of the gated rows themselves
+    a, b = ad.Tensor(a0), ad.Tensor(b0)
+    gated, cat = ad.gate(a, ad.add(a, b)).values, np.concatenate([a0, a0 + b0], axis=1)
+    assert max_rel_err(gated, cat * ad.gate_scale(a, b).values) < tol
+    with pytest.raises(ad.DimensionError, match="one row"):
+        ad.gate_scale(a, ad.Tensor(np.zeros((2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +474,8 @@ def test_mul_row_broadcast_matches_loop():
 @pytest.mark.parametrize("c_rows", [40, 1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_tuple_add_equals_concat_then_add(dtype, c_rows):
-    # the fusion heads add the upsampled coarse level to [full, mid_up]
+    # the oracle's tuple add: the concatenating fusion reference adds the
+    # upsampled coarse level to [full, mid_up]
     rng = np.random.default_rng(7)
     a0, b0 = rng.standard_normal((40, 3)).astype(dtype), rng.standard_normal((40, 5)).astype(dtype)
     c0 = rng.standard_normal((c_rows, 8)).astype(dtype)
@@ -348,7 +483,7 @@ def test_tuple_add_equals_concat_then_add(dtype, c_rows):
     results = []
     for fused in (True, False):
         a, b, c = (ad.Tensor(v, requires_grad=True) for v in (a0, b0, c0))
-        out = ad.add((a, b), c) if fused else ad.add(concat(a, b), c)
+        out = add_columns((a, b), c) if fused else ad.add(concat(a, b), c)
         assert (out._parents == (a, b, c)) == fused
         ad.backward(scalar_loss(out, probe))
         results.append((out.values, a.grad, b.grad, c.grad))
@@ -362,11 +497,11 @@ def test_tuple_add_equals_concat_then_add(dtype, c_rows):
 def test_tuple_add_checks_row_counts_and_broadcast():
     a, b = ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((4, 2)))
     with pytest.raises(ad.DimensionError, match="equal row counts"):
-        ad.add((a, ad.Tensor(np.zeros((3, 2)))), ad.Tensor(np.zeros((4, 5))))
+        add_columns((a, ad.Tensor(np.zeros((3, 2)))), ad.Tensor(np.zeros((4, 5))))
     for c in (np.zeros((4, 4)), np.zeros((2, 5)), np.zeros((1, 1)), np.zeros(5)):
         with pytest.raises(ad.DimensionError, match="broadcastable"):
-            ad.add((a, b), ad.Tensor(c))
-    out = ad.add((a, b), ad.Tensor(np.arange(5.0)[None]))
+            add_columns((a, b), ad.Tensor(c))
+    out = add_columns((a, b), ad.Tensor(np.arange(5.0)[None]))
     assert np.array_equal(out.values, np.tile(np.arange(5.0), (4, 1)))
 
 
@@ -381,21 +516,26 @@ def assert_inputs_kept(tensors, before, out):
 
 @pytest.mark.parametrize("recording", [True, False])
 def test_one_part_conv_and_single_operand_add_leave_their_operand_alone(recording):
-    # the convolution writes into its fresh product and a tuple add into its
-    # fresh concatenation; a single operand is the caller's array
+    # the convolution writes into its fresh products; its operands, left
+    # matrices and scale are the caller's arrays
     rng = np.random.default_rng(11)
-    x, w, b = (ad.Tensor(rng.standard_normal(s), requires_grad=True)
-               for s in ((6, 4), (4, 4), (1, 4)))
-    inputs = (x, w, b)
+    x, w, b, s, w3 = (ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for shape in ((6, 4), (4, 4), (1, 4), (6, 1), (12, 4)))
+    p = ad.Tensor(rng.uniform(0, 1, (6, 6)))
+    inputs = (x, w, b, s, w3, p)
     before = [t.values.copy() for t in inputs]
     with contextlib.nullcontext() if recording else ad.no_grad():
-        for x_arg in (x, (x,)):
+        for x_arg in (x, [(x, slice(None))]):
             out = ad.pointwise_conv(x_arg, w, b, "relu")
             assert np.array_equal(out.values, np.fmax(before[0] @ before[1] + before[2], 0))
             assert_inputs_kept(inputs, before, out)
-            out = ad.add(x_arg, b)
-            assert np.array_equal(out.values, before[0] + before[2])
-            assert_inputs_kept(inputs, before, out)
+        out = ad.pointwise_conv([(x, slice(0, 4)), (p, x, slice(4, 8)), (x, slice(8, 12))], w3,
+                                b, "relu", scale=s)
+        assert out.shape == (6, 4)
+        assert_inputs_kept(inputs, before, out)
+        out = ad.add(x, b)
+        assert np.array_equal(out.values, before[0] + before[2])
+        assert_inputs_kept(inputs, before, out)
 
 
 @pytest.mark.parametrize("case", ["concat_is_the_broadcast_row", "concat_narrower_than_b"])
@@ -410,7 +550,7 @@ def test_tuple_add_allocates_when_the_sum_does_not_fit_its_concatenation(case):
     results = []
     for fused in (True, False):
         a, b, c = (ad.Tensor(v, requires_grad=True) for v in (a0, b0, c0))
-        out = ad.add((a, b), c) if fused else ad.add(concat(a, b), c)
+        out = add_columns((a, b), c) if fused else ad.add(concat(a, b), c)
         assert out.shape == (40, 8) and out.dtype == np.float64
         assert_inputs_kept((a, b, c), (a0, b0, c0), out)
         ad.backward(scalar_loss(out, probe))
@@ -607,23 +747,51 @@ PRIMITIVES = {
     "reduce_sum_all": reduce_sum,
     "reduce_sum1": lambda x: reduce_sum(x, axis=1),
     "concat_left": lambda x: concat(x, ad.Tensor(_const((4, 2), 17))),
-    "add_tuple_left": lambda x: ad.add((x, ad.Tensor(_const((4, 2), 33))),
-                                       ad.Tensor(_const((4, 5), 34))),
-    "add_tuple_right": lambda x: ad.add((ad.Tensor(_const((4, 2), 35)), x),
-                                        ad.Tensor(_const((1, 5), 36))),
-    "add_tuple_both": lambda x: ad.add((x, x), ad.Tensor(_const((4, 6), 37))),
     "gather": lambda x: ad.gather_rows(x, np.array([2, 0, 0, 3, 1])),
     "rowmax": lambda x: ad.rowmax_pool(x, 2),
     "conv_relu": lambda x: ad.pointwise_conv(
         x, ad.Tensor(_const((3, 2), 18)), ad.Tensor(_const((1, 2), 19)), "relu"),
     "conv_none": lambda x: ad.pointwise_conv(
         x, ad.Tensor(_const((3, 2), 20)), ad.Tensor(_const((1, 2), 21)), "none"),
-    "conv_tuple_left": lambda x: ad.pointwise_conv(
+    "add_tuple_left": lambda x: add_columns((x, ad.Tensor(_const((4, 2), 33))),
+                                            ad.Tensor(_const((4, 5), 34))),
+    "add_tuple_right": lambda x: add_columns((ad.Tensor(_const((4, 2), 35)), x),
+                                             ad.Tensor(_const((1, 5), 36))),
+    "add_tuple_both": lambda x: add_columns((x, x), ad.Tensor(_const((4, 6), 37))),
+    "conv_tuple_left": lambda x: pointwise_conv_columns(
         (x, ad.Tensor(_const((4, 2), 27))), ad.Tensor(_const((5, 2), 28)),
         ad.Tensor(_const((1, 2), 29)), "relu"),
-    "conv_tuple_right": lambda x: ad.pointwise_conv(
+    "conv_tuple_right": lambda x: pointwise_conv_columns(
         (ad.Tensor(_const((4, 2), 30)), x), ad.Tensor(_const((5, 2), 31)),
         ad.Tensor(_const((1, 2), 32)), "none"),
+    "conv_term_left": lambda x: ad.pointwise_conv(
+        [(x, slice(0, 3)), (ad.Tensor(_const((4, 2), 27)), slice(3, 5))],
+        ad.Tensor(_const((5, 2), 28)), ad.Tensor(_const((1, 2), 29)), "relu"),
+    "conv_term_right": lambda x: ad.pointwise_conv(
+        [(ad.Tensor(_const((4, 2), 30)), slice(0, 2)), (x, slice(2, 5))],
+        ad.Tensor(_const((5, 2), 31)), ad.Tensor(_const((1, 2), 32)), "none"),
+    "conv_term_left_matrix": lambda x: ad.pointwise_conv(
+        [(ad.Tensor(_const((6, 2), 40)), slice(0, 2)), (ad.Tensor(_const((6, 4), 41)), x, slice(2, 5))],
+        ad.Tensor(_const((5, 2), 42)), ad.Tensor(_const((1, 2), 43)), "relu"),
+    "conv_term_shared_rows": lambda x: ad.pointwise_conv(
+        [(x, slice(0, 3)), (ad.Tensor(_const((4, 1), 44)), slice(3, 4)), (x, slice(1, 4))],
+        ad.Tensor(_const((4, 2), 45)), ad.Tensor(_const((1, 2), 46)), "relu"),
+    "conv_term_one_row": lambda x: ad.pointwise_conv(
+        [(ad.Tensor(_const((6, 2), 47)), slice(0, 2)), (ad.reduce_mean(x, axis=0), slice(2, 5))],
+        ad.Tensor(_const((5, 2), 48)), ad.Tensor(_const((1, 2), 49)), "relu"),
+    "conv_term_scale": lambda x: ad.pointwise_conv(
+        ad.Tensor(_const((4, 3), 50)), ad.Tensor(_const((3, 2), 51)), ad.Tensor(_const((1, 2), 52)),
+        "relu", scale=ad.reduce_mean(x, axis=1)),
+    "conv_term_scaled_operand": lambda x: ad.pointwise_conv(
+        [(x, slice(0, 3)), (ad.Tensor(_const((4, 2), 53)), ad.Tensor(_const((2, 2), 54)), slice(3, 5))],
+        ad.Tensor(_const((5, 2), 55)), ad.Tensor(_const((1, 2), 56)), "relu",
+        scale=ad.Tensor(_const((4, 1), 57))),
+    "conv_term_weight": lambda x: conv_term_weight(x),
+    "gate_scale_a": lambda x: ad.gate_scale(x, ad.Tensor(_const((4, 3), 64))),
+    "gate_scale_b": lambda x: ad.gate_scale(ad.Tensor(_const((4, 3), 65)), x),
+    "gate_scale_b_row": lambda x: ad.gate_scale(ad.Tensor(_const((4, 3), 66)),
+                                                ad.reduce_mean(x, axis=0)),
+    "gate_scale_both": lambda x: ad.gate_scale(x, x),
     "l1_hinge_above": lambda x: ad.l1_hinge_squared(x, ad.Tensor(_const((4, 3), 23)), 1.5),
     "l1_hinge_below": lambda x: ad.l1_hinge_squared(
         ad.Tensor(_const((4, 3), 24)), x, 4.0, below=True),
@@ -632,6 +800,18 @@ PRIMITIVES = {
 
 def _const(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def conv_term_weight(w):
+    """A convolution of weight ``w`` (4, 3) whose gradient every term kind
+    feeds: a plain term, a (P, x) term, an operand on two overlapping row
+    blocks, a one-row term and a per-row scale."""
+    shared = ad.Tensor(_const((5, 2), 58))
+    return ad.pointwise_conv(
+        [(shared, slice(0, 2)), (ad.Tensor(_const((5, 6), 59)), ad.Tensor(_const((6, 2), 60)),
+                                 slice(2, 4)),
+         (shared, slice(1, 3)), (ad.Tensor(_const((1, 4), 61)), slice(0, 4))],
+        w, ad.Tensor(_const((1, 3), 62)), "relu", scale=ad.Tensor(_const((5, 1), 63)))
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
@@ -667,6 +847,45 @@ def test_rowmax_gradient_flows_only_to_argmax():
     x = ad.Tensor(x0, requires_grad=True)
     ad.backward(reduce_sum(ad.rowmax_pool(x, 2)))
     assert np.array_equal(x.grad, [[0, 1], [1, 0], [0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rowmax_pool_signed_zeros_and_nan(dtype):
+    # groups of 4 rows: mixed-sign zeros, zeros below a positive, NaN among
+    # numbers, and two NaNs. The output is each group's np.max with or without
+    # a recorded graph, and the gradient goes to the first row equal to it.
+    # Only where +0.0 and -0.0 tie for the max can that differ from taking
+    # the argmax row's value, in the sign of the zero; the convolutions that
+    # feed the pooling in the network end in a ReLU, whose output holds
+    # neither -0.0 nor NaN, so there the two agree in every bit.
+    nan, z = np.nan, 0.0
+    cols = np.array([[-z, z, -z, z], [z, -z, -z, z], [-z, -z, z, -z], [-z, -1.0, 2.0, z],
+                     [1.0, nan, 3.0, 2.0], [nan, -nan, 1.0, nan], [-1.0, -z, -2.0, -3.0]]).T
+    x0 = np.concatenate([cols, cols[::-1]], axis=0).astype(dtype)  # (8, 7): two groups
+    blocks = x0.reshape(2, 4, 7)
+    want = blocks.max(axis=1)
+    x = ad.Tensor(x0, requires_grad=True)
+    recorded = ad.rowmax_pool(x, 4)
+    with ad.no_grad():
+        plain = ad.rowmax_pool(x, 4)
+    assert plain._parents == () and recorded._parents == (x,)
+    for out in (recorded, plain):
+        assert out.values.dtype == dtype and np.array_equal(bits(out.values), bits(want))
+    by_arg = np.take_along_axis(blocks, blocks.argmax(axis=1)[:, None], axis=1)[:, 0]
+    same = bits(by_arg) == bits(want)
+    assert np.array_equal(by_arg, want, equal_nan=True)
+    assert same[:, 3:].all() and (~same).any()  # only the all-zero columns can differ
+    ad.backward(reduce_sum(recorded))
+    assert np.array_equal(x.grad.reshape(2, 4, 7).argmax(axis=1), blocks.argmax(axis=1))
+    assert np.array_equal(x.grad.sum(axis=0), np.full(7, 2.0, dtype))
+    # a ReLU convolution's output holds neither -0.0 nor NaN
+    relu_out = ad.pointwise_conv(ad.Tensor(x0), ad.Tensor(np.eye(7, dtype=dtype)),
+                                 ad.Tensor(np.zeros((1, 7), dtype)), "relu").values
+    assert not np.isnan(relu_out).any() and not np.signbit(relu_out).any()
+    pooled = relu_out.reshape(2, 4, 7)
+    assert np.array_equal(bits(ad.rowmax_pool(ad.Tensor(relu_out), 4).values),
+                          bits(np.take_along_axis(pooled, pooled.argmax(axis=1)[:, None],
+                                                  axis=1)[:, 0]))
 
 
 def test_parameter_names_and_init():

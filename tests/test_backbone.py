@@ -252,16 +252,24 @@ def geometry_arrays(geo):
 
 
 def geometry_cloud(name):
-    """A random block of 512 or 4096 points, or a shuffled 16³ lattice at a
-    spacing of 1/16, whose distances tie exactly and stay exact."""
+    """A random block of 512 or 4096 points; a shuffled 16³ lattice at a
+    spacing of 1/16, whose distances tie exactly and stay exact; 20 random
+    points each repeated 8 times, shuffled; or 300 equal points. Sampling
+    runs out of distinct points on the last two and picks index 0 again."""
     if name == "lattice16":
         return lattice(16, seed=6) / 16
+    if name == "dup8":
+        rng = np.random.default_rng(8)
+        return rng.permutation(np.repeat(rng.uniform(0, 1, (20, 3)), 8, axis=0))
+    if name == "equal300":
+        return np.full((300, 3), 0.25)
     n = int(name)
     return np.random.default_rng(n).uniform(0, 1, (n, 3)) * (1.0, 1.0, 0.8)
 
 
 @pytest.mark.parametrize("cloud, dtype", [("512", np.float32), ("4096", np.float32),
-                                          ("512", np.float64), ("lattice16", np.float32)])
+                                          ("512", np.float64), ("lattice16", np.float32),
+                                          ("dup8", np.float64), ("equal300", np.float32)])
 def test_compute_geometry_matches_oracle_path(cloud, dtype):
     spec = LayerSpec()
     coords = geometry_cloud(cloud)
@@ -274,6 +282,27 @@ def test_compute_geometry_matches_oracle_path(cloud, dtype):
     for level, npoint in zip(got.levels, spec.npoints):
         picks, d = farthest_point_sampling(level, npoint)
         assert np.array_equal(d, norm_rows(level, picks))
+
+
+@pytest.mark.parametrize("cloud", ["512", "lattice16", "dup8", "equal300"])
+def test_deeper_levels_are_level_one_prefixes_in_coordinates(cloud):
+    # sampling level k's points again picks the first centers in order until
+    # every point lies at distance 0, then index 0, whose coordinates the
+    # repeated centers have: the coordinates agree bit for bit, the picks
+    # only where points are distinct
+    spec = LayerSpec()
+    geo = Backbone(spec, np.random.default_rng(0)).compute_geometry(geometry_cloud(cloud))
+    distinct = True
+    for k, npoint in ((1, spec.npoints[1]), (2, spec.npoints[2])):
+        picks, _ = farthest_point_sampling(geo.levels[k], npoint)
+        assert np.array_equal(bits64(geo.levels[k][picks]), bits64(geo.levels[k + 1]))
+        assert np.array_equal(bits64(geo.levels[k + 1]), bits64(geo.levels[1][:npoint]))
+        distinct &= np.array_equal(picks, np.arange(npoint))
+    assert distinct == (cloud in ("512", "lattice16"))
+
+
+def bits64(a):
+    return a.view(np.uint64)
 
 
 def test_compute_geometry_peak_memory_at_paper_block_size():
@@ -352,7 +381,7 @@ def test_decoder_coincident_point_takes_coarse_feature():
     w[9:] = np.eye(128)  # rows 0-8 take the skip (input) features
     dec.fp_full.weight.assign(w)
     df = dec.apply(encoded, skips, geo)
-    f_b = dec.fp_mid((skips[1], ad.matmul(geo.fp_mats[1], df.coarse)))
+    f_b = df.mid
     centers = fps(feats[:, :3], tiny_spec().npoints[0])
     assert f_b.values.max() > 0.1
     assert np.allclose(df.full.values[centers], f_b.values, atol=1e-4)
@@ -411,11 +440,13 @@ def test_backbone_output_shapes():
     bb = make_backbone()
     sem, ins = forward_features(bb, block_features())
     assert sem.full.shape == (32, 128) and ins.full.shape == (32, 128)
-    assert sem.mid_up.shape == (32, 128) and sem.coarse.shape == (4, 256)
+    assert sem.mid.shape == (8, 128) and sem.coarse.shape == (4, 256)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_mid_up_is_the_mid_level_times_its_interpolation_matrix(dtype):
+def test_decoder_full_level_interpolates_the_projected_mid_level(dtype):
+    # fp_full maps [input, P @ mid] as input · W[:9] + P @ (mid · W[9:]), and
+    # mid is fp_mid's output over [sa1, P @ coarse] taken the same way
     bb = make_backbone(seed=4, dtype=dtype)
     feats = block_features(seed=4)
     geo = bb.compute_geometry(feats[:, :3])
@@ -423,9 +454,13 @@ def test_mid_up_is_the_mid_level_times_its_interpolation_matrix(dtype):
     encoded, skips = bb.encoder.apply(x, geo)
     for dec in (bb.semantic_decoder, bb.instance_decoder):
         df = dec.apply(encoded, skips, geo)
-        f_b = dec.fp_mid((skips[1], ad.matmul(geo.fp_mats[1], df.coarse)))
-        assert df.mid_up.dtype == dtype
-        assert np.array_equal(df.mid_up.values, geo.fp_mats[2].values @ f_b.values)
+        assert df.full.dtype == df.mid.dtype == df.coarse.dtype == dtype
+        for out, conv, skip, mat, level in ((df.full, dec.fp_full, skips[0], geo.fp_mats[2], df.mid),
+                                            (df.mid, dec.fp_mid, skips[1], geo.fp_mats[1],
+                                             df.coarse)):
+            w, k = conv.weight.values, skip.shape[1]
+            pre = skip.values @ w[:k] + mat.values @ (level.values @ w[k:]) + conv.bias.values
+            assert np.array_equal(out.values, np.fmax(pre, 0))
 
 
 def test_backbone_deterministic_given_seed():

@@ -5,7 +5,7 @@ import numpy as np
 from jointseg import autodiff as ad
 from jointseg.backbone import DecoderFeatures, interpolation_matrix
 from jointseg.fusion import FeatureFusion
-from oracles import distances, fd_grad, max_rel_err, reduce_sum
+from oracles import distances, fd_grad, fusion_concat, max_rel_err, reduce_sum
 
 
 class Coords(NamedTuple):
@@ -39,10 +39,9 @@ def upsample_matrix(fine, coarse):
 
 
 def fuse(ff, df, coords):
-    """Fusion output with the interpolation matrices built from ``coords``;
-    the mid level is upsampled first, as the decoder hands it over."""
-    mid_up = ad.matmul(upsample_matrix(coords.full, coords.mid), df.mid)
-    return ff.apply(DecoderFeatures(full=df.full, mid_up=mid_up, coarse=df.coarse),
+    """Fusion output with the interpolation matrices built from ``coords``."""
+    return ff.apply(DecoderFeatures(full=df.full, mid=df.mid, coarse=df.coarse),
+                    upsample_matrix(coords.full, coords.mid),
                     upsample_matrix(coords.full, coords.coarse))
 
 
@@ -128,3 +127,29 @@ def test_gradient_reaches_all_three_inputs():
 
         assert max_rel_err(tensor.grad, fd_grad(f, x0)) < 1e-5
         assert np.abs(tensor.grad).max() > 0
+
+
+def test_matches_the_upsampled_concatenation_in_values_and_gradients():
+    # the head projects each coarser level before interpolating it; the
+    # reference upsamples both levels, adds the coarse one to [full, mid_up]
+    # and convolves the sum
+    rng = np.random.default_rng(9)
+    ff = FeatureFusion("ff", rng, dtype=np.float64)
+    ff.conv.bias.assign(rng.standard_normal((1, 128)))
+    base, coords = make_df(np.random.default_rng(10), n_full=40, n_mid=12, n_coarse=5)
+    probe = rng.standard_normal((40, 128))
+    mid_mat = upsample_matrix(coords.full, coords.mid)
+    coarse_mat = upsample_matrix(coords.full, coords.coarse)
+    results = []
+    for reference in (False, True):
+        df = Levels(*(ad.Tensor(t.values, requires_grad=True) for t in base))
+        for p in ff.parameters():
+            p.zero_grad()
+        out = (fusion_concat(ff, df.full, ad.matmul(mid_mat, df.mid), df.coarse, coarse_mat)
+               if reference else ff.apply(DecoderFeatures(*df), mid_mat, coarse_mat))
+        ad.backward(reduce_sum(ad.mul(out, ad.Tensor(probe))))
+        results.append([out.values] + [t.grad for t in df] + [p.grad for p in ff.parameters()])
+    got, want = results
+    assert (got[0] > 0).any() and (got[0] == 0).any()
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and max_rel_err(a, b, floor=1e-300) < 1e-10

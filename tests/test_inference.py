@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from pathlib import Path
 
@@ -421,6 +422,30 @@ def test_trained_embeddings_match_dense(room, points_per_instance, points_per_bl
             embeddings = network.forward(blocks[i].features).embeddings.values
         assert embeddings.shape == (points_per_block, cfg.embedding_dim)
         assert_matches_dense(embeddings, cfg.mean_shift_config())
+
+
+# sha256 of int64 semantic then instance labels, first 16 hex digits, as the
+# network computed them when it still built every upsampled and concatenated
+# layer input
+PAPER_SCALE_LABELS = {1: "2c9cac186d403e25", 2: "c7138f26c15aa5e9", 3: "04ec981cf5b9f205"}
+
+
+@pytest.mark.parametrize("run_seed", sorted(PAPER_SCALE_LABELS))
+def test_committed_model_labels_on_the_paper_scale_scene(run_seed):
+    # the benchmark's segment-4096 scene at run seeds 1-3: four 4096-point
+    # blocks of a 1.5 m room, segmented and merged with the committed model
+    cfg = RunConfig(seed=0)
+    scene = generate_scene(SyntheticSceneSpec(seed=0, room_extent=(1.5, 1.5, 0.8),
+                                              num_classes=4, instance_range=(6, 6),
+                                              points_per_instance=(1400, 1550)))
+    seg = segment_scene(load_network(cfg, BENCH_MODEL), scene, block_size=cfg.block_size,
+                        stride=cfg.stride, points_per_block=4096,
+                        min_points=cfg.min_block_points, center_xy=cfg.center_xy,
+                        mean_shift_cfg=cfg.mean_shift_config(), seed=run_seed * 1009,
+                        voxel_divisions=cfg.voxel_divisions,
+                        overlap_threshold=cfg.overlap_threshold)
+    labels = seg.semantic.astype(np.int64).tobytes() + seg.instance.astype(np.int64).tobytes()
+    assert hashlib.sha256(labels).hexdigest()[:16] == PAPER_SCALE_LABELS[run_seed]
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,10 @@ def test_output_shapes():
     out = head(f_sem, f_ins)
     assert out.logits.shape == (4, 6)
     assert out.embeddings.shape == (4, 5)
-    assert out.ins_gated.shape == (4, 16) and out.sem_gated.shape == (4, 16)
+    assert out.ins_gated.shape == (4, 16) and out.sem_gate.shape == (4, 1)
     ins_cat, sem_cat = concats(f_sem, f_ins, out)
     assert gate_of(out.ins_gated.values, ins_cat).shape == (4, 1)
-    assert gate_of(out.sem_gated.values, sem_cat).shape == (4, 1)
+    assert gate_of(sem_cat * out.sem_gate.values, sem_cat).shape == (4, 1)
 
 
 def test_gates_strictly_between_zero_and_one():
@@ -77,9 +77,12 @@ def test_gates_strictly_between_zero_and_one():
     f_sem, f_ins = inputs(seed=5)
     out = head(f_sem, f_ins)
     ins_cat, sem_cat = concats(f_sem, f_ins, out)
-    for gated, cat in ((out.ins_gated, ins_cat), (out.sem_gated, sem_cat)):
-        gate = gate_of(gated.values, cat)
+    for gated, cat in ((out.ins_gated.values, ins_cat), (sem_cat * out.sem_gate.values, sem_cat)):
+        gate = gate_of(gated, cat)
         assert np.all(gate > 0) and np.all(gate < 1)
+    # the semantic gate is the sigmoid of the row mean of [f_sem, f_sem + context]
+    want = 1 / (1 + np.exp(-sem_cat.mean(axis=1, keepdims=True)))
+    assert np.allclose(out.sem_gate.values, want, rtol=1e-12, atol=0)
 
 
 def test_instance_context_rows_are_identical():

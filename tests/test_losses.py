@@ -3,10 +3,10 @@ import pytest
 
 from jointseg import autodiff as ad
 from jointseg.config import RunConfig
-from jointseg.data import generate_scene
+from jointseg.data import SyntheticSceneSpec, generate_scene, split_into_blocks
 from jointseg.losses import InstanceGrouping, LossConfig, discriminative_loss, total_loss
 from jointseg.train import PreparedBlock, _block_loss, build_network, split_scenes
-from oracles import discriminative_loss_loop, fd_grad, max_rel_err
+from oracles import discriminative_loss_loop, fd_grad, max_rel_err, network_forward_concat
 
 CFG = LossConfig(delta_v=0.5, delta_d=1.5)
 
@@ -185,7 +185,7 @@ def test_graph_nodes_per_default_training_block():
     # updates this bound on purpose
     cfg = RunConfig()
     network, (prepared,) = default_blocks(cfg, 1)
-    assert len(ad.graph_nodes(_block_loss(network, prepared, cfg))) <= 106
+    assert len(ad.graph_nodes(_block_loss(network, prepared, cfg))) <= 91
 
 
 def test_parameter_gradients_match_per_instance_loop():
@@ -207,6 +207,52 @@ def test_parameter_gradients_match_per_instance_loop():
                 assert np.abs(new[name] - g).max() <= 1e-12
             else:
                 assert rel_diff(new[name], g) <= 1e-10, name
+
+
+def assert_matches_concat_oracle(network, blocks, cfg):
+    """Per block: logits, embeddings and every parameter's gradient of the
+    training loss agree with the concatenating composition to 1e-10."""
+    for p in blocks:
+        results = []
+        for forward in (network_forward, network_forward_concat):
+            network.zero_grad()
+            logits, embeddings = forward(network, p.block.features, p.geometry)
+            ad.backward(total_loss(logits, p.block.semantic_labels, embeddings, p.grouping,
+                                   cfg.loss_config()))
+            results.append((logits.values, embeddings.values,
+                            {q.name: q.grad.copy() for q in network.parameters()}))
+        (logits, emb, new), (logits_ref, emb_ref, ref) = results
+        assert rel_diff(logits, logits_ref) <= 1e-10 and rel_diff(emb, emb_ref) <= 1e-10
+        assert new.keys() == ref.keys()
+        for name, g in ref.items():
+            if name == "joint.ins_head2.bias":
+                # analytically zero (the loss is translation-invariant): rounding only
+                assert np.abs(new[name] - g).max() <= 1e-12
+            else:
+                assert rel_diff(new[name], g) <= 1e-10, name
+
+
+def network_forward(network, features, geometry):
+    out = network.forward(features, geometry)
+    return out.logits, out.embeddings
+
+
+def test_forward_and_gradients_match_concat_oracle_on_default_blocks():
+    cfg = RunConfig(dtype="float64")
+    network, prepared = default_blocks(cfg, 6)
+    assert_matches_concat_oracle(network, prepared, cfg)
+
+
+def test_forward_and_gradients_match_concat_oracle_at_4096_points():
+    # the benchmark's paper-scale layout: 4096 points from a 1.5 m room
+    cfg = RunConfig(dtype="float64")
+    scene = generate_scene(SyntheticSceneSpec(seed=0, room_extent=(1.5, 1.5, 0.8),
+                                              num_classes=4, instance_range=(6, 6),
+                                              points_per_instance=(1400, 1550)))
+    block = split_into_blocks(scene, cfg.block_size, cfg.stride, 4096, cfg.min_block_points,
+                              cfg.center_xy, np.random.default_rng(1))[0]
+    network = build_network(cfg)
+    assert_matches_concat_oracle(network, [PreparedBlock(block, network)], cfg)
 
 
 def test_grouping_validation():
