@@ -4,9 +4,9 @@ A small numpy-backed engine providing exactly the differentiable primitives
 the segmentation network needs: matrix products, per-point (kernel-size-1)
 convolutions fused with their bias, per-row scale and ReLU into one graph
 node, sums and products with single-axis broadcasting, scaling, axis means,
-the sigmoid gate of the joint head and the per-row scale of a gate over
-``[a, a + b]``, row gather, grouped max pooling, a fused softmax
-cross-entropy, and the discriminative loss's per-row squared L1 hinge.
+the per-row sigmoid scale of the joint head's gate over ``[a, a + b]``, row
+gather, grouped max pooling, a fused softmax cross-entropy, and the
+discriminative loss's per-row squared L1 hinge.
 
 A convolution takes terms bound to row blocks of its weight, so
 ``[a, P @ x] · W`` runs as ``a · W_top + P @ (x · W_bot)``, building neither
@@ -444,32 +444,11 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return s
 
 
-def gate(a: Tensor, b: Tensor) -> Tensor:
-    """``[a, b] · sigmoid(row mean of [a, b])`` as one node; values and
-    gradients equal those of concat, reduce_mean over axis 1, sigmoid and mul
-    bit for bit. Without a recorded graph the product is written into the
-    fresh concatenation, which backward would otherwise read."""
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise DimensionError(f"gate needs 2-D operands with equal row counts, "
-                             f"got {a.shape} and {b.shape}")
-    cat = np.concatenate([a.values, b.values], axis=1)
-    s = _sigmoid(cat.mean(axis=1, keepdims=True))
-    k = a.shape[1]
-
-    def backprop(g, accum):
-        gs = (g * cat).sum(axis=1, keepdims=True)
-        gc = g * s + gs * s * (1.0 - s) / cat.shape[1]
-        accum(a, gc[:, :k])
-        accum(b, gc[:, k:])
-
-    return _make(np.multiply(cat, s, out=None if _tracks((a, b)) else cat), (a, b), backprop)
-
-
 def gate_scale(a: Tensor, b: Tensor) -> Tensor:
-    """The per-row factor ``sigmoid(row mean of [a, a + b])`` by which
-    ``gate(a, add(a, b))`` scales its rows, as one (N, 1) node that builds
-    neither ``a + b`` nor the concatenation: over a's W columns the row mean
-    is ``(2·Σa + Σb) / 2W``. ``b`` has a's shape or is one row added to
+    """The per-row gate ``sigmoid(row mean of [a, a + b])`` that scales the
+    rows of ``[a, a + b]``, as one (N, 1) node that builds neither ``a + b``
+    nor the concatenation: over a's W columns the row mean is
+    ``(2·Σa + Σb) / 2W``. ``b`` has a's shape or is one row added to
     every row of ``a``."""
     if a.values.ndim != 2 or b.shape not in (a.shape, (1, a.shape[1])):
         raise DimensionError(f"gate_scale needs b of shape {a.shape} or one row, got {b.shape}")

@@ -1,21 +1,22 @@
 """Joint instance/semantic segmentation head.
 
-Two cross-wired branches sit on top of the fused backbone features. The
-instance branch transforms semantic features into the instance space, adds
-them to the instance features, gates the concatenated result by a per-point
-sigmoid of its feature mean (one ``ad.gate`` node), and maps it to a K-dim
-embedding. The semantic branch aggregates the gated instance features into
-one global context row (convolution, then mean over points), adds it to
-every row of the semantic features by broadcasting, gates in the same way,
-and maps to class logits. Its first layer takes the gated
-``[f, f + c] · s`` by linearity, as
+Two cross-wired branches sit on top of the fused backbone features, and both
+follow one pattern: features ``f`` take a cross-branch term ``c``, the
+concatenation ``[f, f + c]`` is gated by the per-point sigmoid of its
+feature mean, and a convolution maps the gated result. The instance branch
+takes ``c`` from transforming the semantic features into the instance space
+and maps to a K-dim embedding. The semantic branch takes ``c`` from
+aggregating the gated instance features into one global context row
+(convolution, then mean over points) and maps to class logits.
+
+Each convolution over a gated ``[f, f + c] · s`` takes it by linearity, as
 ``s ⊙ (f · (W_top + W_bot) + c · W_bot)`` in one ``ad.pointwise_conv`` node
-with the gate ``s`` (one ``ad.gate_scale`` node) as its per-row scale, so it
-builds neither the sum nor the (N, 2W) concatenation.
+with the gate ``s`` (one ``ad.gate_scale`` node) as its per-row scale, so
+the head builds neither the sum nor the (N, 2W) concatenation.
 
 Either cross-injection can be disabled: with instance fusion off the
-semantic-to-instance transform is replaced by zero, with semantic fusion off
-the instance context is a zero row; the heads always run.
+semantic-to-instance transform is replaced by a zero row, with semantic
+fusion off the instance context is a zero row; the heads always run.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from .layers import Conv1x1, collect_parameters
 class JointHeadFeatures:
     """All named intermediates of one forward pass (row count N throughout)."""
 
-    sem_to_ins: ad.Tensor      # (N, W)   transformed semantic features
-    ins_fused: ad.Tensor       # (N, W)   instance features + transform
-    ins_gated: ad.Tensor       # (N, 2W)  gated [instance, fused] features
+    sem_to_ins: ad.Tensor      # (N, W)   transformed semantic features, or a (1, W) zero row
+    ins_gate: ad.Tensor        # (N, 1)   gate of [instance, instance + transform]
     ins_context: ad.Tensor     # (1, W)   global instance context
-    sem_gate: ad.Tensor        # (N, 1)   gate of [semantic, context-fused]
+    sem_gate: ad.Tensor        # (N, 1)   gate of [semantic, semantic + context]
     embeddings: ad.Tensor      # (N, K)
     logits: ad.Tensor          # (N, C)
 
@@ -66,41 +66,22 @@ class JointSegmentationHead:
         self.sem_head1 = Conv1x1("joint.sem_head1", 2 * w, w, rng, dtype, activation="relu")
         self.sem_head2 = Conv1x1("joint.sem_head2", w, num_classes, rng, dtype, activation="none")
 
-    # -- branches -----------------------------------------------------------
-
-    def instance_branch(self, f_sem: ad.Tensor, f_ins: ad.Tensor):
-        """Semantic-aware instance embeddings.
-
-        Returns (embeddings, gated fusion features, intermediates dict); the
-        gated features also feed the semantic branch.
-        """
-        self._check_inputs(f_sem, f_ins)
-        if self.instance_fusion:
-            sem_t = self.sem_to_ins(f_sem)
-            fused = ad.add(f_ins, sem_t)
-        else:
-            sem_t = ad.Tensor(np.zeros_like(f_ins.values))
-            fused = f_ins
-        gated = ad.gate(f_ins, fused)                                  # (N, 2W)
-        emb = self.ins_head2(self.ins_head1(gated))
-        return emb, gated, {"sem_to_ins": sem_t, "ins_fused": fused, "ins_gated": gated}
-
-    def semantic_branch(self, f_sem: ad.Tensor, ins_gated: ad.Tensor):
-        """Instance-aware class logits from the gated instance features."""
-        if self.semantic_fusion:
-            context = ad.reduce_mean(self.ins_to_sem(ins_gated), axis=0)  # (1, W)
-        else:
-            context = ad.Tensor(np.zeros_like(f_sem.values[:1]))
-        w = self.width
-        top, bot = slice(0, w), slice(w, 2 * w)
-        gate = ad.gate_scale(f_sem, context)                           # (N, 1)
-        h = self.sem_head1([(f_sem, top), (f_sem, bot), (context, bot)], gate)
-        return self.sem_head2(h), {"ins_context": context, "sem_gate": gate}
-
     def __call__(self, f_sem: ad.Tensor, f_ins: ad.Tensor) -> JointHeadFeatures:
-        emb, ins_gated, a = self.instance_branch(f_sem, f_ins)
-        logits, b = self.semantic_branch(f_sem, ins_gated)
-        return JointHeadFeatures(embeddings=emb, logits=logits, **a, **b)
+        self._check_inputs(f_sem, f_ins)
+        zero = ad.Tensor(np.zeros_like(f_sem.values[:1]))
+        sem_t = self.sem_to_ins(f_sem) if self.instance_fusion else zero
+        ins = self._gated(f_ins, sem_t)
+        emb = self.ins_head2(self.ins_head1(*ins))
+        context = ad.reduce_mean(self.ins_to_sem(*ins), axis=0) if self.semantic_fusion else zero
+        sem = self._gated(f_sem, context)
+        return JointHeadFeatures(sem_to_ins=sem_t, ins_gate=ins[1], ins_context=context,
+                                 sem_gate=sem[1], embeddings=emb,
+                                 logits=self.sem_head2(self.sem_head1(*sem)))
+
+    def _gated(self, f: ad.Tensor, c: ad.Tensor):
+        """The convolution terms of ``[f, f + c]`` and its (N, 1) gate."""
+        top, bot = slice(0, self.width), slice(self.width, 2 * self.width)
+        return [(f, top), (f, bot), (c, bot)], ad.gate_scale(f, c)
 
     def _check_inputs(self, f_sem: ad.Tensor, f_ins: ad.Tensor) -> None:
         if f_sem.shape != f_ins.shape or f_sem.shape[1] != self.width:

@@ -418,14 +418,13 @@ def nearest_full_scan(points: np.ndarray, centres: np.ndarray, rows: int = 16,
 # ---------------------------------------------------------------------------
 # general primitives the package no longer calls
 #
-# The fused nodes (``ad.pointwise_conv``, ``ad.l1_hinge_squared``,
-# ``ad.gate`` and ``ad.gate_scale``) replaced these in the package; the
-# references below compose them, and tests use ``reduce_sum`` to reduce
-# outputs to a scalar. ``add_columns`` and ``pointwise_conv_columns`` are
-# the sum and the convolution over a tuple of inputs that concatenate their
-# columns inside the node, which the network used before it took its layer
-# inputs by linearity; the references of the network's forward below use
-# them.
+# The fused nodes (``ad.pointwise_conv``, ``ad.l1_hinge_squared`` and
+# ``ad.gate_scale``) replaced these in the package; the references below
+# compose them, and tests use ``reduce_sum`` to reduce outputs to a scalar.
+# ``add_columns`` and ``pointwise_conv_columns`` are the sum and the
+# convolution over a tuple of inputs that concatenate their columns inside
+# the node, which the network used before it took its layer inputs by
+# linearity; the references of the network's forward below use them.
 
 def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     ad._check_broadcast(a.shape, b.shape)
@@ -586,8 +585,9 @@ def pointwise_conv_unfused(x: ad.Tensor, weight: ad.Tensor, bias: ad.Tensor,
 
 def gate_unfused(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     """[a, b] · sigmoid(row mean of [a, b]) as four graph nodes (concat,
-    reduce_mean, sigmoid, mul); ``ad.gate`` must equal it bit for bit in
-    values and gradients."""
+    reduce_mean, sigmoid, mul). With ``b = a + c`` its factor is
+    ``ad.gate_scale(a, c)``; the joint head's reference below gates its
+    concatenations with it."""
     cat = concat(a, b)
     return ad.mul(cat, sigmoid(ad.reduce_mean(cat, axis=1)))
 
@@ -606,14 +606,14 @@ def l1_hinge_squared_unfused(a: ad.Tensor, b: ad.Tensor, margin: float,
 # the network's forward over explicit concatenations
 #
 # The package maps every concatenated or upsampled layer input by linearity
-# (``ad.pointwise_conv`` terms) and gates the semantic head's input by
+# (``ad.pointwise_conv`` terms) and gates each joint-head branch by
 # ``ad.gate_scale``. The references below build each input instead, as the
 # network did before: a decoder layer upsamples its coarser level (matmul)
 # and convolves it beside its skip features (tuple conv); a fusion head adds
 # the upsampled coarse level to [full, upsampled mid] (tuple add) before its
-# conv; the semantic head gates [f, f + c] (add, gate) before its first
-# conv. The package must equal them to rounding, in values and float64
-# gradients.
+# conv; each joint-head branch gates the (N, 2W) [f, f + c] (add,
+# gate_unfused) before its first convs. The package must equal them to
+# rounding, in values and float64 gradients.
 
 def conv_columns(conv, parts: tuple[ad.Tensor, ...]) -> ad.Tensor:
     """A ``Conv1x1`` layer over the concatenated columns of ``parts``."""
@@ -647,14 +647,18 @@ def fusion_concat(fusion, full: ad.Tensor, mid_up: ad.Tensor, coarse: ad.Tensor,
     return fusion.conv(add_columns((full, mid_up), ad.matmul(coarse_mat, coarse)))
 
 
-def semantic_branch_concat(head, f_sem: ad.Tensor, ins_gated: ad.Tensor) -> ad.Tensor:
-    """The logits of ``JointSegmentationHead.semantic_branch`` from the gated
-    (N, 2W) ``[f_sem, f_sem + context]``."""
-    if head.semantic_fusion:
-        fused = ad.add(f_sem, ad.reduce_mean(head.ins_to_sem(ins_gated), axis=0))
-    else:
-        fused = f_sem
-    return head.sem_head2(head.sem_head1(ad.gate(f_sem, fused)))
+def gated_concat(f: ad.Tensor, c: ad.Tensor | None) -> ad.Tensor:
+    """The gated (N, 2W) ``[f, f + c]``; ``c`` None stands for zero."""
+    return gate_unfused(f, f if c is None else ad.add(f, c))
+
+
+def joint_head_concat(head, f_sem: ad.Tensor, f_ins: ad.Tensor):
+    """(logits, embeddings) of ``JointSegmentationHead`` with both branches'
+    first convolutions over their gated concatenations."""
+    ins_gated = gated_concat(f_ins, head.sem_to_ins(f_sem) if head.instance_fusion else None)
+    embeddings = head.ins_head2(head.ins_head1(ins_gated))
+    context = ad.reduce_mean(head.ins_to_sem(ins_gated), axis=0) if head.semantic_fusion else None
+    return head.sem_head2(head.sem_head1(gated_concat(f_sem, context))), embeddings
 
 
 def network_forward_concat(network, features: np.ndarray, geo: BlockGeometry):
@@ -669,8 +673,7 @@ def network_forward_concat(network, features: np.ndarray, geo: BlockGeometry):
         full, mid_up, coarse = decoder_concat(decoder, encoded, skips, geo)
         feats.append(fusion_concat(fusion, full, mid_up, coarse, geo.fusion_coarse)
                      if network.use_fusion else full)
-    embeddings, ins_gated, _ = network.head.instance_branch(*feats)
-    return semantic_branch_concat(network.head, feats[0], ins_gated), embeddings
+    return joint_head_concat(network.head, *feats)
 
 
 # ---------------------------------------------------------------------------

@@ -328,8 +328,8 @@ def test_conv1x1_output_is_one_node():
 # sigmoid gate
 
 def gate_case(dtype, seed=0):
-    """a (N, 3) and b (N, 5) whose row means over [a, b] are negative in the
-    first 20 rows, positive in the next 20 and exactly 0 in the last 4."""
+    """a (N, 3) and b (N, 5), a shifted down in the first 20 rows and b up in
+    the next 20, so gate means fall on both sides of 0."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((44, 3)).astype(dtype)
     b = rng.standard_normal((44, 5)).astype(dtype)
@@ -339,36 +339,6 @@ def gate_case(dtype, seed=0):
     return a, b
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gate_equals_unfused_composition(dtype):
-    a0, b0 = gate_case(dtype)
-    mean = np.concatenate([a0, b0], axis=1).mean(axis=1)
-    assert (mean[:20] < 0).all() and (mean[20:40] > 0).all() and (mean[40:] == 0).all()
-    probe = np.random.default_rng(1).standard_normal((44, 8)).astype(dtype)
-    results = []
-    for gate in (ad.gate, gate_unfused):
-        a, b = ad.Tensor(a0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
-        out = gate(a, b)
-        ad.backward(scalar_loss(out, probe))
-        results.append((out.values, a.grad, b.grad))
-    fused, unfused = results
-    assert fused[0].shape == (44, 8) and fused[0].dtype == unfused[0].dtype == dtype
-    assert fused[1].shape == (44, 3) and fused[2].shape == (44, 5)
-    for got, want in zip(fused, unfused):
-        assert np.array_equal(got, want)
-
-
-def test_gate_is_one_node_and_checks_shapes():
-    a = ad.Tensor(np.array([[1.0, -1.0]]), requires_grad=True)
-    b = ad.Tensor(np.array([[3.0]]))
-    out = ad.gate(a, b)
-    assert out._parents == (a, b)
-    s = 1 / (1 + math.exp(-1.0))
-    assert np.allclose(out.values, [[s, -s, 3 * s]], rtol=1e-15, atol=0)
-    with pytest.raises(ad.DimensionError, match="equal row counts"):
-        ad.gate(a, ad.Tensor(np.zeros((2, 1))))
-
-
 @pytest.mark.parametrize("b_rows", [44, 1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gate_scale_is_the_gate_of_a_beside_a_plus_b(dtype, b_rows):
@@ -376,6 +346,8 @@ def test_gate_scale_is_the_gate_of_a_beside_a_plus_b(dtype, b_rows):
     # row sums are summed in another order, so values agree to rounding
     a0, b0 = gate_case(dtype)
     b0 = b0[:b_rows, :3]
+    sums = 2 * a0.sum(axis=1) + np.broadcast_to(b0, a0.shape).sum(axis=1)
+    assert (sums < 0).any() and (sums > 0).any()  # both branches of the sigmoid
     probe = np.random.default_rng(1).standard_normal((44, 1)).astype(dtype)
     results = []
     for fused in (True, False):
@@ -393,7 +365,7 @@ def test_gate_scale_is_the_gate_of_a_beside_a_plus_b(dtype, b_rows):
         assert max_rel_err(got, want) < tol
     # the scale of the gated rows themselves
     a, b = ad.Tensor(a0), ad.Tensor(b0)
-    gated, cat = ad.gate(a, ad.add(a, b)).values, np.concatenate([a0, a0 + b0], axis=1)
+    gated, cat = gate_unfused(a, ad.add(a, b)).values, np.concatenate([a0, a0 + b0], axis=1)
     assert max_rel_err(gated, cat * ad.gate_scale(a, b).values) < tol
     with pytest.raises(ad.DimensionError, match="one row"):
         ad.gate_scale(a, ad.Tensor(np.zeros((2, 3))))
@@ -449,8 +421,7 @@ def test_l1_hinge_squared_is_one_node_and_checks_shapes():
 
 def test_sigmoid_at_zero():
     assert sigmoid(ad.Tensor([[0.0]])).item() == 0.5
-    half = ad.gate(ad.Tensor([[1.0, -2.0]]), ad.Tensor([[1.0]])).values
-    assert np.array_equal(half, [[0.5, -1.0, 0.5]])
+    assert ad.gate_scale(ad.Tensor([[1.0, -2.0]]), ad.Tensor([[2.0, 0.0]])).item() == 0.5
 
 
 def test_add_zero_identity():
@@ -558,20 +529,6 @@ def test_tuple_add_allocates_when_the_sum_does_not_fit_its_concatenation(case):
     fused, unfused = results
     for got, want in zip(fused, unfused):
         assert np.array_equal(bits(got), bits(want))
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gate_without_a_graph_writes_in_place_to_the_same_bits(dtype):
-    a0, b0 = gate_case(dtype)
-    a, b = ad.Tensor(a0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
-    recorded = ad.gate(a, b)
-    with ad.no_grad():
-        plain = ad.gate(a, b)
-    constant = ad.gate(ad.Tensor(a0), ad.Tensor(b0))  # recording, but no gradient can flow
-    assert recorded._parents == (a, b) and plain._parents == constant._parents == ()
-    for out in (plain, constant):
-        assert np.array_equal(bits(out.values), bits(recorded.values))
-        assert_inputs_kept((a, b), (gate_case(dtype)), out)
 
 
 def test_broadcast_rejects_two_axis_mismatch():
@@ -736,9 +693,6 @@ PRIMITIVES = {
     "mul_scalar": lambda x: ad.mul_scalar(x, -1.3),
     "relu": relu,
     "sigmoid": sigmoid,
-    "gate_left": lambda x: ad.gate(x, ad.Tensor(_const((4, 2), 25))),
-    "gate_right": lambda x: ad.gate(ad.Tensor(_const((4, 2), 26)), x),
-    "gate_both": lambda x: ad.gate(x, x),
     "absolute": absolute,
     "matmul_left": lambda x: ad.matmul(x, ad.Tensor(_const((3, 2), 15))),
     "matmul_right": lambda x: ad.matmul(ad.Tensor(_const((2, 4), 16)), x),

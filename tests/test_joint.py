@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,10 +31,8 @@ def test_zero_transform_gives_half_gate():
     f_ins_v = rng.standard_normal((4, 8))
     f_ins_v -= f_ins_v.mean(axis=1, keepdims=True)  # per-point feature mean 0
     out = head(ad.Tensor(rng.standard_normal((4, 8))), ad.Tensor(f_ins_v))
-    assert np.array_equal(out.ins_fused.values, f_ins_v)
-    cat = np.concatenate([f_ins_v, f_ins_v], axis=1)
-    assert np.allclose(gate_of(out.ins_gated.values, cat), 0.5)
-    assert np.allclose(out.ins_gated.values, 0.5 * cat)
+    assert not out.sem_to_ins.values.any()
+    assert np.allclose(out.ins_gate.values, 0.5)
 
 
 def test_zero_semantic_features_leave_instance_features_unchanged():
@@ -42,47 +41,33 @@ def test_zero_semantic_features_leave_instance_features_unchanged():
     f_sem = ad.Tensor(np.zeros((5, 8)))
     f_ins = ad.Tensor(np.random.default_rng(3).standard_normal((5, 8)))
     out = head(f_sem, f_ins)
-    assert np.array_equal(out.ins_fused.values, f_ins.values)
-
-
-def gate_of(gated, cat):
-    """The per-point gate that scaled ``cat`` into ``gated``: one (N, 1) column,
-    the same for every channel of a point."""
-    ratio = gated / cat
-    assert np.allclose(ratio, ratio[:, :1], rtol=1e-12, atol=0)
-    return ratio[:, :1]
+    assert not out.sem_to_ins.values.any()
 
 
 def concats(f_sem, f_ins, out):
     """The instance and semantic branches' concatenated features, before gating."""
-    sem_fused = f_sem.values + out.ins_context.values
-    return (np.concatenate([f_ins.values, out.ins_fused.values], axis=1),
-            np.concatenate([f_sem.values, sem_fused], axis=1))
+    return (np.concatenate([f_ins.values, f_ins.values + out.sem_to_ins.values], axis=1),
+            np.concatenate([f_sem.values, f_sem.values + out.ins_context.values], axis=1))
 
 
 def test_output_shapes():
     head = make_head(num_classes=6, embedding_dim=5)
-    f_sem, f_ins = inputs()
-    out = head(f_sem, f_ins)
+    out = head(*inputs())
     assert out.logits.shape == (4, 6)
     assert out.embeddings.shape == (4, 5)
-    assert out.ins_gated.shape == (4, 16) and out.sem_gate.shape == (4, 1)
-    ins_cat, sem_cat = concats(f_sem, f_ins, out)
-    assert gate_of(out.ins_gated.values, ins_cat).shape == (4, 1)
-    assert gate_of(sem_cat * out.sem_gate.values, sem_cat).shape == (4, 1)
+    assert out.ins_gate.shape == (4, 1) and out.sem_gate.shape == (4, 1)
 
 
 def test_gates_strictly_between_zero_and_one():
-    head = make_head(seed=4)
     f_sem, f_ins = inputs(seed=5)
-    out = head(f_sem, f_ins)
-    ins_cat, sem_cat = concats(f_sem, f_ins, out)
-    for gated, cat in ((out.ins_gated.values, ins_cat), (sem_cat * out.sem_gate.values, sem_cat)):
-        gate = gate_of(gated, cat)
-        assert np.all(gate > 0) and np.all(gate < 1)
-    # the semantic gate is the sigmoid of the row mean of [f_sem, f_sem + context]
-    want = 1 / (1 + np.exp(-sem_cat.mean(axis=1, keepdims=True)))
-    assert np.allclose(out.sem_gate.values, want, rtol=1e-12, atol=0)
+    for instance_fusion in (True, False):  # off, the transform is a zero row
+        out = make_head(seed=4, instance_fusion=instance_fusion)(f_sem, f_ins)
+        assert out.sem_to_ins.shape == ((4, 8) if instance_fusion else (1, 8))
+        for gate, cat in zip((out.ins_gate, out.sem_gate), concats(f_sem, f_ins, out)):
+            assert np.all(gate.values > 0) and np.all(gate.values < 1)
+            # each gate is the sigmoid of the row mean of its [f, f + c]
+            want = 1 / (1 + np.exp(-cat.mean(axis=1, keepdims=True)))
+            assert np.allclose(gate.values, want, rtol=1e-12, atol=0)
 
 
 def test_instance_context_rows_are_identical():
@@ -115,22 +100,26 @@ def _conv_loops(x, w, b, relu):
     return out
 
 
+def _gated_loops(f, c):
+    """Per row, [f, f + c] scaled by the sigmoid of its mean, and that gate."""
+    cat = np.concatenate([f, f + c], axis=1)
+    gate = np.array([[1 / (1 + math.exp(-row.mean()))] for row in cat])
+    return cat * gate, gate
+
+
 def test_instance_branch_matches_scalar_reevaluation():
     head = make_head(seed=10)
     f_sem, f_ins = inputs(seed=11)
     out = head(f_sem, f_ins)
 
-    s, i = f_sem.values, f_ins.values
-    sem_t = _conv_loops(s, head.sem_to_ins.weight.values, head.sem_to_ins.bias.values, True)
-    fused = i + sem_t
-    cat = np.concatenate([i, fused], axis=1)
-    gate = np.array([[1 / (1 + math.exp(-row.mean()))] for row in cat])
-    gated = cat * gate
+    sem_t = _conv_loops(f_sem.values, head.sem_to_ins.weight.values,
+                        head.sem_to_ins.bias.values, True)
+    gated, gate = _gated_loops(f_ins.values, sem_t)
     emb = _conv_loops(_conv_loops(gated, head.ins_head1.weight.values,
                                   head.ins_head1.bias.values, True),
                       head.ins_head2.weight.values, head.ins_head2.bias.values, False)
     assert np.allclose(out.embeddings.values, emb, atol=1e-12)
-    assert np.allclose(out.ins_gated.values, gated, atol=1e-12)
+    assert np.allclose(out.ins_gate.values, gate, atol=1e-12)
 
 
 def test_semantic_branch_matches_scalar_reevaluation():
@@ -138,17 +127,17 @@ def test_semantic_branch_matches_scalar_reevaluation():
     f_sem, f_ins = inputs(seed=13)
     out = head(f_sem, f_ins)
 
-    gated = out.ins_gated.values
+    s = f_sem.values
+    sem_t = _conv_loops(s, head.sem_to_ins.weight.values, head.sem_to_ins.bias.values, True)
+    gated, _ = _gated_loops(f_ins.values, sem_t)
     ctx_rows = _conv_loops(gated, head.ins_to_sem.weight.values, head.ins_to_sem.bias.values, True)
     ctx = ctx_rows.mean(axis=0)  # mean over points, then tiled
-    s = f_sem.values
-    cat = np.concatenate([s, s + ctx[None, :]], axis=1)
-    gate = np.array([[1 / (1 + math.exp(-row.mean()))] for row in cat])
-    gated_sem = cat * gate
+    gated_sem, gate = _gated_loops(s, ctx[None, :])
     logits = _conv_loops(_conv_loops(gated_sem, head.sem_head1.weight.values,
                                      head.sem_head1.bias.values, True),
                          head.sem_head2.weight.values, head.sem_head2.bias.values, False)
     assert np.allclose(out.logits.values, logits, atol=1e-12)
+    assert np.allclose(out.sem_gate.values, gate, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +228,19 @@ def test_input_shape_validation():
     with pytest.raises(ad.DimensionError):
         head(ad.Tensor(np.zeros((4, 8))), ad.Tensor(np.zeros((4, 7))))
 
+
+def test_no_grad_forward_peak_memory_at_paper_block_size():
+    # two (4096, 128) float32 inputs are 2 MB each; a gated (N, 2W)
+    # concatenation would add 4 MB to the peak
+    head = JointSegmentationHead(4, 5, 128, np.random.default_rng(0), np.float32)
+    rng = np.random.default_rng(1)
+    f_sem, f_ins = (ad.Tensor(rng.standard_normal((4096, 128)).astype(np.float32))
+                    for _ in range(2))
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            head(f_sem, f_ins)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
