@@ -1,12 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A small numpy-backed engine providing exactly the differentiable primitives
-the segmentation network needs: matrix products, per-point (kernel-size-1)
-convolutions fused with their bias, per-row scale and ReLU into one graph
-node, sums and products with single-axis broadcasting, scaling, axis means,
-the per-row sigmoid scale of the joint head's gate over ``[a, a + b]``, row
-gather, grouped max pooling, a fused softmax cross-entropy, and the
-discriminative loss's per-row squared L1 hinge.
+A small numpy-backed engine providing the differentiable primitives the
+segmentation network needs: per-point (kernel-size-1) convolutions fused with
+their bias, per-row scale and ReLU into one graph node, sums with single-axis
+broadcasting, scaling, axis means, the per-row sigmoid scale of the joint
+head's gate over ``[a, a + b]``, row gather, grouped max pooling and a fused
+softmax cross-entropy; and the matrix and elementwise products tests compose.
 
 A convolution takes terms bound to row blocks of its weight, so
 ``[a, P @ x] · W`` runs as ``a · W_top + P @ (x · W_bot)``, building neither
@@ -225,37 +224,6 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
     return _make(x.values * c, (x,), backprop)
 
 
-def l1_hinge_squared(a: Tensor, b: Tensor, margin: float, below: bool = False) -> Tensor:
-    """Per row, the squared hinge ``relu(±(Σ_j |a - b| - margin))²`` as one
-    (N, 1) node.
-
-    ``below=False`` penalizes L1 distances above the margin (the pull term of
-    the discriminative loss), ``below=True`` the shortfall below it (push).
-    Values and gradients equal those of the composition sub, absolute, row
-    sum, margin shift, (negation), ReLU and square bit for bit; the hinge and
-    the absolute value take subgradient 0 at their kinks.
-    """
-    if a.values.ndim != 2 or a.shape != b.shape:
-        raise DimensionError(f"l1_hinge_squared needs equal 2-D shapes, got {a.shape} and {b.shape}")
-    diff = a.values - b.values
-    sign = np.sign(diff)
-    gap = np.abs(diff).sum(axis=1, keepdims=True) + (-margin)
-    if below:
-        gap = -gap
-    mask = gap > 0
-    h = np.where(mask, gap, 0)
-    shape = a.shape
-
-    def backprop(g, accum):
-        gh = g * h
-        gh = (gh + gh) * mask  # the square's two product-rule terms, summed as a mul node would
-        gd = np.broadcast_to(-gh if below else gh, shape) * sign
-        accum(a, gd)
-        accum(b, -gd)
-
-    return _make(h * h, (a, b), backprop)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and structure ops
 
@@ -289,22 +257,31 @@ def reduce_mean(x: Tensor, axis: int) -> Tensor:
     return _make(out, (x,), backprop)
 
 
-def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows by index; backward scatter-adds into the source rows."""
-    idx = np.asarray(indices, dtype=np.int64).ravel()
+def _row_index(x: Tensor, indices: np.ndarray) -> np.ndarray:
+    """``indices`` as flat int64 rows of the 2-D tensor ``x``, checked to be in range."""
     if x.values.ndim != 2:
-        raise DimensionError(f"gather_rows needs a 2-D tensor, got {x.shape}")
+        raise DimensionError(f"row indexing needs a 2-D tensor, got {x.shape}")
+    idx = np.asarray(indices, dtype=np.int64).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise DimensionError(f"row index out of range for {x.shape[0]} rows")
-    out = x.values[idx]
-    shape = x.shape
+    return idx
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """The transpose of a row gather: the rows of ``g`` summed into ``rows`` zero rows."""
+    z = np.zeros((rows, g.shape[1]), dtype=g.dtype)
+    np.add.at(z, idx, g)
+    return z
+
+
+def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
+    """Select rows by index; backward scatter-adds into the source rows."""
+    idx = _row_index(x, indices)
 
     def backprop(g, accum):
-        z = np.zeros(shape, dtype=g.dtype)
-        np.add.at(z, idx, g)
-        accum(x, z)
+        accum(x, _scatter_rows(g, idx, x.shape[0]))
 
-    return _make(out, (x,), backprop)
+    return _make(x.values[idx], (x,), backprop)
 
 
 def rowmax_pool(x: Tensor, group_size: int) -> Tensor:

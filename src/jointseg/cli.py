@@ -20,7 +20,7 @@ from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, load_config
 from .data import (SceneFormatError, SceneGenerationError, generate_scene, load_result,
                    load_scene, save_result, save_scene)
-from .inference import NonFiniteOutputError, segment_scene
+from .inference import NoBlocksError, NonFiniteOutputError, segment_scene
 from .metrics import evaluate
 from .train import grad_check, load_network, train
 
@@ -95,6 +95,8 @@ def cmd_infer(args) -> int:
                             overlap_threshold=cfg.overlap_threshold)
     except NonFiniteOutputError as e:  # load_scene checked the scene, so the model is at fault
         raise CheckpointError(f"{args.checkpoint}: {e}") from e
+    except NoBlocksError as e:
+        raise ConfigError(f"{args.scene}: {e}") from e
     path = Path(args.out) / (Path(args.scene).stem + ".result")
     save_result(path, seg.semantic, seg.instance)
     print(f"segmented {len(seg.semantic)} points into {seg.num_instances} instances "

@@ -231,6 +231,10 @@ class NonFiniteOutputError(ValueError):
     """A network output holds NaN or inf, so it has no argmax or clustering."""
 
 
+class NoBlocksError(ValueError):
+    """Block splitting left no block of a scene to segment."""
+
+
 def predict_block(logits: np.ndarray, embeddings: np.ndarray,
                   point_indices: np.ndarray, cfg: MeanShiftConfig) -> BlockPrediction:
     """Argmax classes, mean-shift instances, and majority-vote categories.
@@ -448,17 +452,15 @@ def block_merging(predictions: list[BlockPrediction], scene: Scene, num_classes:
     covered = voxel_gid[point_voxel] >= 0
     labeled_voxels = np.flatnonzero(voxel_gid >= 0)
     if labeled_voxels.size == 0:
-        instance = np.zeros(n, dtype=np.int64)
-        semantic = np.zeros(n, dtype=np.int64)
-    else:
-        source = point_voxel.copy()  # the voxel each point takes its id and vote from
-        centres = (keys[labeled_voxels] + 0.5) * voxel_size
-        source[~covered] = labeled_voxels[_nearest(scene.points[~covered], centres)]
-        instance = voxel_gid[source]
-        point_votes = np.bincount(sampled * num_classes + classes, minlength=n * num_classes)
-        point_votes = point_votes.reshape(n, num_classes)
-        semantic = np.where(point_votes.any(axis=1), point_votes.argmax(axis=1),
-                            voxel_votes[source].argmax(axis=1))
+        raise ValueError("no instance labels a voxel: there is nothing to merge")
+    source = point_voxel.copy()  # the voxel each point takes its id and vote from
+    centres = (keys[labeled_voxels] + 0.5) * voxel_size
+    source[~covered] = labeled_voxels[_nearest(scene.points[~covered], centres)]
+    instance = voxel_gid[source]
+    point_votes = np.bincount(sampled * num_classes + classes, minlength=n * num_classes)
+    point_votes = point_votes.reshape(n, num_classes)
+    semantic = np.where(point_votes.any(axis=1), point_votes.argmax(axis=1),
+                        voxel_votes[source].argmax(axis=1))
 
     _, first, dense = np.unique(instance, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
@@ -478,6 +480,8 @@ def segment_scene(network, scene: Scene, *, block_size: float = 1.0, stride: flo
     rng = np.random.default_rng(seed)
     blocks = split_into_blocks(scene, block_size, stride, points_per_block,
                                min_points, center_xy, rng)
+    if not blocks:
+        raise NoBlocksError(f"no blocks: {scene.num_points} points, min_block_points {min_points}")
     predictions = []
     with ad.no_grad():
         for block in blocks:

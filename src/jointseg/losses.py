@@ -4,10 +4,9 @@ embedding loss.
 The discriminative term is a sum of two hinged penalties over per-instance
 mean embeddings: a pull term drawing every embedding to within ``delta_v``
 (L1) of its instance mean, and a push term keeping distinct instance means at
-least ``2 * delta_d`` apart, normalized over ordered pairs. It is built as one
-graph whose size does not depend on the number of instances. The total
-training loss is the unweighted sum of the cross-entropy and discriminative
-terms.
+least ``2 * delta_d`` apart, normalized over ordered pairs; it is one graph
+node over the embeddings. The total training loss is the unweighted sum of
+the cross-entropy and discriminative terms.
 """
 
 from __future__ import annotations
@@ -70,6 +69,22 @@ class DiscriminativeLossTerms(NamedTuple):
     push: ad.Tensor
 
 
+def _l1_hinge_squared(a: np.ndarray, b: np.ndarray, margin: float, side: int):
+    """Per row, ``h² = relu(side · (Σ_j |a - b| - margin))²`` as (N, 1), and the map
+    from its gradient to a's (b's is the negation), with subgradient 0 at kinks."""
+    diff = a - b
+    sign = np.sign(diff)
+    gap = (np.abs(diff).sum(axis=1, keepdims=True) + (-margin)) * side
+    mask = gap > 0
+    h = np.where(mask, gap, 0)
+
+    def grad(g):
+        gh = g * h
+        return (gh + gh) * mask * side * sign  # the square's two product-rule terms
+
+    return h * h, grad
+
+
 def discriminative_loss(embeddings: ad.Tensor, grouping: InstanceGrouping,
                         cfg: LossConfig) -> DiscriminativeLossTerms:
     """Pull/push embedding loss over the given instance grouping.
@@ -80,39 +95,40 @@ def discriminative_loss(embeddings: ad.Tensor, grouping: InstanceGrouping,
     mean over unordered pairs. All distances are L1. Both terms are zero for
     an empty grouping, as a block without annotated points gives.
 
-    The graph has the same nodes for any number of instances above one: the
-    means are one product of a constant (m, N_a) averaging matrix with the
-    N_a annotated rows, pull is one product of a constant row of weights
-    1 / (m * N_i) with the per-point squared hinges, and push is one mean
-    over the m(m-1)/2 gathered pairs of means.
+    ``total`` is one graph node over the embeddings; ``pull`` and ``push``
+    are constants. The means are an (m, N_a) averaging matrix times the N_a
+    annotated rows, pull is weights 1 / (m * N_i) times the squared hinges,
+    and push sums the m(m-1)/2 pair hinges over max(pairs, 1). Backward sums
+    the means' gradient over pull, first and second pair as a graph would.
     """
     m = grouping.num_instances
-    dtype = embeddings.dtype
     if m == 0:
-        zero = ad.Tensor(np.zeros((1, 1), dtype=dtype))
+        zero = ad.Tensor(np.zeros((1, 1), dtype=embeddings.dtype))
         return DiscriminativeLossTerms(total=zero, pull=zero, push=zero)
+    idx = ad._row_index(embeddings, grouping.indices)
     owner = grouping.owner
-    n_a = owner.size
     sizes = np.bincount(owner, minlength=m)
+    averaging = np.zeros((m, owner.size), dtype=embeddings.dtype)
+    averaging[owner, np.arange(owner.size)] = 1.0 / sizes[owner]
+    weights = (1.0 / (m * sizes[owner]))[None, :].astype(embeddings.dtype)  # (1, N_a)
+    first, second = np.triu_indices(m, 1)
+    pairs = max(first.size, 1)
 
-    points = ad.gather_rows(embeddings, grouping.indices)      # (N_a, K)
-    averaging = np.zeros((m, n_a), dtype=dtype)
-    averaging[owner, np.arange(n_a)] = 1.0 / sizes[owner]
-    means = ad.matmul(ad.Tensor(averaging), points)            # (m, K)
+    points = embeddings.values[idx]                                # (N_a, K)
+    means = averaging @ points                                     # (m, K)
+    pull_h, pull_grad = _l1_hinge_squared(means[owner], points, cfg.delta_v, 1)
+    push_h, push_grad = _l1_hinge_squared(means[first], means[second], 2 * cfg.delta_d, -1)
+    pull = weights @ pull_h
+    push = push_h.sum(axis=0, keepdims=True) / pairs
 
-    hinges = ad.l1_hinge_squared(ad.gather_rows(means, owner), points, cfg.delta_v)
-    weights = (1.0 / (m * sizes[owner]))[None, :].astype(dtype)  # (1, N_a)
-    pull = ad.matmul(ad.Tensor(weights), hinges)
+    def backprop(g, accum):
+        g_pull, g_pair = pull_grad(weights.T @ g), push_grad(g / pairs)
+        g_means = (ad._scatter_rows(g_pull, owner, m) + ad._scatter_rows(g_pair, first, m)
+                   + ad._scatter_rows(-g_pair, second, m))
+        accum(embeddings, ad._scatter_rows(averaging.T @ g_means - g_pull, idx, embeddings.shape[0]))
 
-    if m == 1:
-        push = ad.Tensor(np.zeros((1, 1), dtype=dtype))
-    else:
-        first, second = np.triu_indices(m, 1)
-        hinges = ad.l1_hinge_squared(ad.gather_rows(means, first), ad.gather_rows(means, second),
-                                     2 * cfg.delta_d, below=True)  # (m(m-1)/2, 1)
-        push = ad.reduce_mean(hinges, axis=0)
-
-    return DiscriminativeLossTerms(total=ad.add(pull, push), pull=pull, push=push)
+    total = ad._make(pull + push, (embeddings,), backprop)
+    return DiscriminativeLossTerms(total=total, pull=ad.Tensor(pull), push=ad.Tensor(push))
 
 
 def total_loss(logits: ad.Tensor, semantic_labels: np.ndarray,

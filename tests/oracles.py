@@ -418,9 +418,10 @@ def nearest_full_scan(points: np.ndarray, centres: np.ndarray, rows: int = 16,
 # ---------------------------------------------------------------------------
 # general primitives the package no longer calls
 #
-# The fused nodes (``ad.pointwise_conv``, ``ad.l1_hinge_squared`` and
-# ``ad.gate_scale``) replaced these in the package; the references below
-# compose them, and tests use ``reduce_sum`` to reduce outputs to a scalar.
+# The fused nodes (``ad.pointwise_conv``, ``ad.gate_scale`` and the
+# discriminative loss's single node) replaced these in the package; the
+# references below compose them, and tests use ``reduce_sum`` to reduce
+# outputs to a scalar.
 # ``add_columns`` and ``pointwise_conv_columns`` are the sum and the
 # convolution over a tuple of inputs that concatenate their columns inside
 # the node, which the network used before it took its layer inputs by
@@ -595,8 +596,8 @@ def gate_unfused(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
 def l1_hinge_squared_unfused(a: ad.Tensor, b: ad.Tensor, margin: float,
                              below: bool = False) -> ad.Tensor:
     """Per row, relu(±(Σ|a - b| - margin))² as six or seven graph nodes (sub,
-    absolute, reduce_sum, add_scalar, [neg], relu, mul);
-    ``ad.l1_hinge_squared`` must equal it bit for bit in values and gradients."""
+    absolute, reduce_sum, add_scalar, [neg], relu, mul): the discriminative
+    loss's hinge, which ``discriminative_loss_composed`` below builds on."""
     gap = add_scalar(reduce_sum(absolute(sub(a, b)), axis=1), -margin)
     h = relu(neg(gap) if below else gap)
     return ad.mul(h, h)
@@ -677,7 +678,44 @@ def network_forward_concat(network, features: np.ndarray, geo: BlockGeometry):
 
 
 # ---------------------------------------------------------------------------
-# per-instance discriminative loss reference
+# discriminative loss references
+
+def discriminative_loss_composed(embeddings: ad.Tensor, grouping: InstanceGrouping,
+                                 cfg: LossConfig) -> DiscriminativeLossTerms:
+    """``losses.discriminative_loss`` as the twelve-node graph the package
+    built before it became one node: four row gathers, the averaging and
+    weight matrices as constant leaves, two matmuls, the pull and push
+    hinges, a mean over pairs and the sum. The package must equal it bit for
+    bit in its terms and gradients."""
+    m = grouping.num_instances
+    dtype = embeddings.dtype
+    if m == 0:
+        zero = ad.Tensor(np.zeros((1, 1), dtype=dtype))
+        return DiscriminativeLossTerms(total=zero, pull=zero, push=zero)
+    owner = grouping.owner
+    n_a = owner.size
+    sizes = np.bincount(owner, minlength=m)
+
+    points = ad.gather_rows(embeddings, grouping.indices)      # (N_a, K)
+    averaging = np.zeros((m, n_a), dtype=dtype)
+    averaging[owner, np.arange(n_a)] = 1.0 / sizes[owner]
+    means = ad.matmul(ad.Tensor(averaging), points)            # (m, K)
+
+    hinges = l1_hinge_squared_unfused(ad.gather_rows(means, owner), points, cfg.delta_v)
+    weights = (1.0 / (m * sizes[owner]))[None, :].astype(dtype)  # (1, N_a)
+    pull = ad.matmul(ad.Tensor(weights), hinges)
+
+    if m == 1:
+        push = ad.Tensor(np.zeros((1, 1), dtype=dtype))
+    else:
+        first, second = np.triu_indices(m, 1)
+        hinges = l1_hinge_squared_unfused(ad.gather_rows(means, first),
+                                          ad.gather_rows(means, second),
+                                          2 * cfg.delta_d, below=True)  # (m(m-1)/2, 1)
+        push = ad.reduce_mean(hinges, axis=0)
+
+    return DiscriminativeLossTerms(total=ad.add(pull, push), pull=pull, push=push)
+
 
 def _hinge_squared_mean(dist: ad.Tensor, margin: float, above: bool) -> ad.Tensor:
     """Mean over rows of a squared hinge on an (N, 1) distance column.

@@ -8,8 +8,8 @@ import pytest
 from jointseg import autodiff as ad
 from jointseg.layers import Conv1x1
 from oracles import (absolute, add_columns, add_scalar, concat, fd_grad, gate_unfused,
-                     l1_hinge_squared_unfused, max_rel_err, neg, pointwise_conv_columns,
-                     pointwise_conv_unfused, reduce_sum, relu, sigmoid, sub)
+                     max_rel_err, neg, pointwise_conv_columns, pointwise_conv_unfused,
+                     reduce_sum, relu, sigmoid, sub)
 
 
 def scalar_loss(out: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
@@ -372,51 +372,6 @@ def test_gate_scale_is_the_gate_of_a_beside_a_plus_b(dtype, b_rows):
 
 
 # ---------------------------------------------------------------------------
-# squared L1 hinge
-
-def hinge_case(dtype, seed=0):
-    """a, b with small integer entries, so every row's L1 distance is an
-    integer: with margin 3 many rows sit exactly at the hinge's kink, and
-    many entries of a - b are exactly 0 (the kink of |.|)."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-1, 2, (60, 3)).astype(dtype)
-    b = rng.integers(-1, 2, (60, 3)).astype(dtype)
-    b[40:] += rng.standard_normal((20, 3)).astype(dtype)
-    return a, b
-
-
-@pytest.mark.parametrize("below", [False, True])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_l1_hinge_squared_equals_unfused_composition(below, dtype):
-    a0, b0 = hinge_case(dtype)
-    dist = np.abs(a0 - b0).sum(axis=1)
-    assert (dist == 3).sum() > 5 and (dist < 3).sum() > 5 and (dist > 3).sum() > 5
-    assert (a0 == b0).sum() > 10
-    probe = np.random.default_rng(1).standard_normal((60, 1)).astype(dtype)
-    results = []
-    for hinge in (ad.l1_hinge_squared, l1_hinge_squared_unfused):
-        a, b = ad.Tensor(a0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
-        out = hinge(a, b, 3.0, below=below)
-        ad.backward(scalar_loss(out, probe))
-        results.append((out.values, a.grad, b.grad))
-    fused, unfused = results
-    assert fused[0].shape == (60, 1) and fused[0].dtype == unfused[0].dtype == dtype
-    assert np.all(fused[0][dist == 3] == 0)
-    for got, want in zip(fused, unfused):
-        assert np.array_equal(got, want)
-
-
-def test_l1_hinge_squared_is_one_node_and_checks_shapes():
-    a = ad.Tensor(np.ones((4, 3)), requires_grad=True)
-    b = ad.Tensor(np.zeros((4, 3)))
-    out = ad.l1_hinge_squared(a, b, 1.0)
-    assert np.array_equal(out.values, np.full((4, 1), 4.0))  # (3 - 1)^2
-    assert out._parents == (a, b)
-    with pytest.raises(ad.DimensionError, match=r"\(4, 3\).*\(1, 3\)"):
-        ad.l1_hinge_squared(a, ad.Tensor(np.zeros((1, 3))), 1.0)
-
-
-# ---------------------------------------------------------------------------
 # elementwise
 
 def test_sigmoid_at_zero():
@@ -746,9 +701,6 @@ PRIMITIVES = {
     "gate_scale_b_row": lambda x: ad.gate_scale(ad.Tensor(_const((4, 3), 66)),
                                                 ad.reduce_mean(x, axis=0)),
     "gate_scale_both": lambda x: ad.gate_scale(x, x),
-    "l1_hinge_above": lambda x: ad.l1_hinge_squared(x, ad.Tensor(_const((4, 3), 23)), 1.5),
-    "l1_hinge_below": lambda x: ad.l1_hinge_squared(
-        ad.Tensor(_const((4, 3), 24)), x, 4.0, below=True),
 }
 
 

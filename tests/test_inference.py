@@ -646,6 +646,20 @@ def test_uncovered_points_resolved_and_counted():
     assert seg.instance[2] == seg.instance[0]  # adopted from the nearest labeled voxel
 
 
+def test_block_merging_refuses_predictions_that_label_no_voxel():
+    # no block means no instance, and a result invented from nothing
+    with pytest.raises(ValueError, match="no instance labels a voxel"):
+        block_merging([], scene_grid(), 3)
+
+
+def test_segment_scene_refuses_a_scene_that_yields_no_block():
+    rng = np.random.default_rng(9)
+    scene = Scene(rng.uniform(0, 1, (40, 3)), rng.uniform(0, 1, (40, 3)), np.zeros(40, int),
+                  np.zeros(40, int), (1, 1, 1))
+    with pytest.raises(inference.NoBlocksError, match="40 points, min_block_points 64"):
+        segment_scene(tiny_network(), scene, points_per_block=64, min_points=64)
+
+
 def test_block_merging_rejects_bad_settings():
     scene = scene_grid()
     with pytest.raises(ValueError, match="voxel_divisions"):

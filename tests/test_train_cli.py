@@ -12,7 +12,7 @@ from jointseg import autodiff as ad
 from jointseg import cli
 from jointseg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from jointseg.config import ConfigError, RunConfig, parse_config_text
-from jointseg.data import generate_scene, save_scene
+from jointseg.data import Scene, generate_scene, save_scene
 from jointseg.optim import Adam
 from jointseg.train import grad_check, load_network, train
 
@@ -711,6 +711,24 @@ def test_cli_infer_refuses_a_checkpoint_whose_outputs_are_not_finite(tmp_path, c
     err = capsys.readouterr().err
     assert "checkpoint error" in err and "logits are not finite" in err
     assert not (tmp_path / "pred").exists()
+
+
+def test_cli_infer_on_a_scene_that_yields_no_block_is_a_config_error(tmp_path, capsys):
+    # 40 points are fewer than min_block_points = 64: train refuses such a
+    # scene, and infer must not invent a class and an instance for it
+    cfg = RunConfig(seed=0)  # the committed model's configuration
+    rng = np.random.default_rng(0)
+    scene_path = tmp_path / "few.scene"
+    save_scene(scene_path, Scene(rng.uniform(0, 1, (40, 3)), rng.uniform(0, 1, (40, 3)),
+                                 np.zeros(40, int), np.zeros(40, int), (1, 1, 1)))
+    capsys.readouterr()
+    code = cli.main(["infer", "--config", write_config(tmp_path / "c.cfg", cfg),
+                     "--checkpoint", str(BENCH_MODEL), "--scene", str(scene_path),
+                     "--out", str(tmp_path / "pred")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "40 points, min_block_points 64" in err
+    assert not list(tmp_path.rglob("*.result"))
 
 
 def array_entry(name, shape, data=b""):
